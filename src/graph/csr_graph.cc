@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -84,6 +85,36 @@ Result<CsrGraph> CsrGraph::FromEdgeList(const EdgeList& edges) {
 #endif
 
   g.num_edges_ = es.size();
+  return g;
+}
+
+CsrGraph CsrGraph::FromArrays(bool directed, bool weighted,
+                              std::vector<uint64_t> offsets_out,
+                              std::vector<Arc> arcs_out,
+                              std::vector<uint64_t> offsets_in,
+                              std::vector<Arc> arcs_in) {
+  CsrGraph g;
+  g.num_vertices_ = static_cast<VertexId>(offsets_out.size() - 1);
+  g.num_edges_ = directed ? arcs_out.size() : arcs_out.size() / 2;
+  g.directed_ = directed;
+  g.weighted_ = weighted;
+  g.offsets_out_ = std::move(offsets_out);
+  g.arcs_out_ = std::move(arcs_out);
+  g.offsets_in_ = std::move(offsets_in);
+  g.arcs_in_ = std::move(arcs_in);
+#ifndef NDEBUG
+  for (VertexId v = 0; v < g.num_vertices_; ++v) {
+    for (const std::span<const Arc> span : {g.OutArcs(v), g.InArcs(v)}) {
+      for (size_t i = 0; i < span.size(); ++i) {
+        HOPDB_DCHECK_NE(span[i].to, v) << "self-loop at vertex " << v;
+        if (i > 0) {
+          HOPDB_DCHECK_LT(span[i - 1].to, span[i].to)
+              << "unsorted or parallel arc at vertex " << v;
+        }
+      }
+    }
+  }
+#endif
   return g;
 }
 

@@ -33,6 +33,18 @@ class CsrGraph {
   /// Normalize()d (simple graph); this is verified in debug builds.
   static Result<CsrGraph> FromEdgeList(const EdgeList& edges);
 
+  /// Adopts CSR arrays built elsewhere, for callers that already hold
+  /// the adjacency per vertex (DynamicGraph). Each offsets array has
+  /// |V| + 1 entries; each vertex's arcs are sorted by target with no
+  /// duplicates or self-loops (verified in debug builds); the in-side
+  /// arrays are empty when undirected, where arcs_out holds both
+  /// orientations of every edge.
+  static CsrGraph FromArrays(bool directed, bool weighted,
+                             std::vector<uint64_t> offsets_out,
+                             std::vector<Arc> arcs_out,
+                             std::vector<uint64_t> offsets_in,
+                             std::vector<Arc> arcs_in);
+
   VertexId num_vertices() const { return num_vertices_; }
   /// Number of directed arcs for directed graphs; number of undirected
   /// edges for undirected graphs (each stored as two arcs internally).

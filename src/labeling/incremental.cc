@@ -175,6 +175,39 @@ EdgeList DynamicGraph::ToEdgeList() const {
   return edges;
 }
 
+CsrGraph DynamicGraph::ToOriginalCsr(const RankMapping& ranking) const {
+  const VertexId n = num_vertices();
+  // Row v of the frozen graph is the rank-space list of ToInternal(v),
+  // relabeled and re-sorted by original target id.
+  const auto freeze = [&](const std::vector<std::vector<Arc>>& lists,
+                          std::vector<uint64_t>* offsets,
+                          std::vector<Arc>* arcs) {
+    offsets->assign(n + 1, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      (*offsets)[v + 1] = (*offsets)[v] + lists[ranking.ToInternal(v)].size();
+    }
+    arcs->resize(offsets->back());
+    for (VertexId v = 0; v < n; ++v) {
+      Arc* row = arcs->data() + (*offsets)[v];
+      Arc* end = row;
+      for (const Arc& arc : lists[ranking.ToInternal(v)]) {
+        *end++ = Arc{ranking.ToOriginal(arc.to), arc.weight};
+      }
+      std::sort(row, end,
+                [](const Arc& x, const Arc& y) { return x.to < y.to; });
+    }
+  };
+  std::vector<uint64_t> offsets_out;
+  std::vector<Arc> arcs_out;
+  std::vector<uint64_t> offsets_in;
+  std::vector<Arc> arcs_in;
+  freeze(out_, &offsets_out, &arcs_out);
+  if (directed_) freeze(in_, &offsets_in, &arcs_in);
+  return CsrGraph::FromArrays(directed_, weighted_, std::move(offsets_out),
+                              std::move(arcs_out), std::move(offsets_in),
+                              std::move(arcs_in));
+}
+
 // -----------------------------------------------------------------------
 // IncrementalUpdater
 // -----------------------------------------------------------------------

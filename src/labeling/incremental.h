@@ -120,6 +120,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
+#include "graph/ranking.h"
 #include "graph/types.h"
 #include "labeling/builder.h"
 #include "labeling/two_hop_index.h"
@@ -176,6 +177,14 @@ class DynamicGraph {
   /// Freezes the current adjacency back into an edge list (for fallback
   /// rebuilds and differential tests). Deterministic order.
   EdgeList ToEdgeList() const;
+
+  /// Freezes the adjacency into a CsrGraph under ORIGINAL ids
+  /// (`ranking` maps them to this graph's rank ids). Equals remapping
+  /// ToEdgeList() and going through Normalize() and FromEdgeList(), but
+  /// fills each vertex's CSR row directly and sorts only that row
+  /// instead of the whole edge list (COMMIT freezes the path graph this
+  /// way).
+  CsrGraph ToOriginalCsr(const RankMapping& ranking) const;
 
  private:
   bool directed_ = false;

@@ -41,6 +41,9 @@ void EncodeForWire(WireVersion version, const WireResponse& response,
 /// and connections (ring entries and slow-query log lines correlate).
 std::atomic<uint64_t> g_next_trace_id{1};
 
+/// The IoThread whose loop runs on the calling thread (null elsewhere).
+thread_local const IoThread* t_current_io_thread = nullptr;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -114,6 +117,10 @@ Status IoThread::Start(const IoGroupOptions& options, RequestSink* sink) {
 }
 
 void IoThread::Adopt(int fd) {
+  // Counted from the hand-off, not from AddConnection: a client whose
+  // connection was accepted before its own must find it counted even
+  // if this loop has not drained its mailbox yet.
+  open_count_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mailbox_mu_);
     pending_adds_.push_back(fd);
@@ -123,6 +130,10 @@ void IoThread::Adopt(int fd) {
 }
 
 void IoThread::RequestFlush(std::shared_ptr<Connection> conn) {
+  if (t_current_io_thread == this) {
+    local_flushes_.push_back(std::move(conn));
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mailbox_mu_);
     pending_flushes_.push_back(std::move(conn));
@@ -152,6 +163,7 @@ void IoThread::Stop() {
 }
 
 void IoThread::Run() {
+  t_current_io_thread = this;
   std::vector<epoll_event> events(1024);
   while (!stopping_.load(std::memory_order_acquire)) {
     const int n =
@@ -168,6 +180,7 @@ void IoThread::Run() {
         while (read(wake_fd_, &drained, sizeof(drained)) > 0) {
         }
         DrainMailbox();
+        FlushLocal();
         continue;
       }
       // Look the fd up instead of trusting a stored pointer: an earlier
@@ -176,12 +189,16 @@ void IoThread::Run() {
       if (it == conns_.end()) continue;
       std::shared_ptr<Connection> conn = it->second;
       if (ev.events & EPOLLOUT) FlushConnection(conn);
-      if (ev.events & (EPOLLIN | EPOLLHUP | EPOLLERR)) ProcessInput(conn);
+      if (ev.events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
+        ProcessInput(conn, /*read_socket=*/true);
+      }
+      FlushLocal();
     }
   }
   // Shutdown path: deliver any completions posted before the stop
   // signal, give every connection one best-effort flush, then close.
   DrainMailbox();
+  FlushLocal();
   std::vector<std::shared_ptr<Connection>> remaining;
   remaining.reserve(conns_.size());
   for (const auto& [fd, conn] : conns_) remaining.push_back(conn);
@@ -209,63 +226,70 @@ void IoThread::DrainMailbox() {
   }
 }
 
+void IoThread::FlushLocal() {
+  // A flush can resume a paused reader, whose inline answers queue more
+  // local flushes; that only parses bytes already read, so this ends.
+  while (!local_flushes_.empty()) {
+    std::vector<std::shared_ptr<Connection>> flushes;
+    flushes.swap(local_flushes_);
+    for (const auto& conn : flushes) FlushConnection(conn);
+  }
+}
+
 void IoThread::AddConnection(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    close(fd);
-    return;
-  }
-  auto conn = std::make_shared<Connection>(fd, this);
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+  if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0 ||
+      epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
     close(fd);
+    open_count_.fetch_sub(1, std::memory_order_relaxed);
     return;
   }
+  auto conn = std::make_shared<Connection>(fd, this);
   conn->epoll_events_ = EPOLLIN;
   conns_.emplace(fd, std::move(conn));
-  open_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void IoThread::ProcessInput(const std::shared_ptr<Connection>& conn) {
+void IoThread::ProcessInput(const std::shared_ptr<Connection>& conn,
+                            bool read_socket) {
+  const auto readable = [&] {
+    std::lock_guard<std::mutex> lock(conn->mu_);
+    return !conn->closed_ && !conn->read_shutdown_ && !conn->read_paused_;
+  };
+  if (!readable()) return;
+  if (!ParseBuffered(conn)) return;  // fatal framing error
+  if (!read_socket || !readable()) return;
   char chunk[65536];
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu_);
-      if (conn->closed_ || conn->read_shutdown_ || conn->read_paused_) return;
-    }
-    if (!ParseBuffered(conn)) return;  // fatal framing error
-    {
-      std::lock_guard<std::mutex> lock(conn->mu_);
-      if (conn->closed_ || conn->read_shutdown_ || conn->read_paused_) return;
-    }
-    const ssize_t n = recv(conn->fd_, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn->in_.append(chunk, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      CloseConnection(conn);  // hard socket error
-      return;
-    }
-    // EOF (peer close or our SHUT_RD): parse what is already buffered,
-    // answer it, then close once the last response flushed.
+  ssize_t n;
+  do {
+    n = recv(conn->fd_, chunk, sizeof(chunk), 0);
+  } while (n < 0 && errno == EINTR);
+  if (n > 0) {
+    // One chunk per event: requests the sink answers inline run on this
+    // loop, and the level-triggered epoll reports whatever is unread.
+    conn->in_.append(chunk, static_cast<size_t>(n));
     (void)ParseBuffered(conn);
-    bool close_now = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu_);
-      if (conn->closed_) return;
-      conn->read_shutdown_ = true;
-      conn->close_after_flush_ = true;
-      close_now = conn->slots_.empty() && conn->out_off_ >= conn->out_.size();
-      if (!close_now) UpdateInterestLocked(conn.get());
-    }
-    if (close_now) CloseConnection(conn);
     return;
   }
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    CloseConnection(conn);  // hard socket error
+    return;
+  }
+  // EOF (peer close or our SHUT_RD): everything buffered was parsed
+  // above; close once the last response flushed.
+  bool close_now = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu_);
+    if (conn->closed_) return;
+    conn->read_shutdown_ = true;
+    conn->close_after_flush_ = true;
+    close_now = conn->slots_.empty() && conn->out_off_ >= conn->out_.size();
+    if (!close_now) UpdateInterestLocked(conn.get());
+  }
+  if (close_now) CloseConnection(conn);
 }
 
 RequestTrace IoThread::BeginTrace(uint64_t accepted_ns) {
@@ -457,8 +481,9 @@ void IoThread::FlushConnection(const std::shared_ptr<Connection>& conn) {
     return;
   }
   // A resumed connection may hold fully buffered requests that will
-  // never raise EPOLLIN again; parse them now.
-  if (resume_read) ProcessInput(conn);
+  // never raise EPOLLIN again; parse them now. Reading more waits for
+  // the next EPOLLIN, which UpdateInterestLocked re-armed.
+  if (resume_read) ProcessInput(conn, /*read_socket=*/false);
 }
 
 void IoThread::UpdateInterestLocked(Connection* conn) {

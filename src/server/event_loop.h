@@ -12,24 +12,32 @@
 //      │        requests (v1 lines or v2 frames; the first byte of a
 //      │        connection picks the framing), opens one ordered
 //      │        response slot per request, and hands the parsed
-//      │        request to the RequestSink (the server), which runs it
-//      │        on the worker pool
+//      │        request to the RequestSink (the server), which either
+//      │        answers it on the spot (cheap verbs) or queues it for
+//      │        the worker pool
 //      │
 //   Connection::Complete(seq, response) ── called by any thread when a
 //               request finishes; the owning IoThread encodes and
 //               writes consecutive completed slots, so responses go out
-//               in request order no matter how the workers interleave
+//               in request order no matter where each one ran. A
+//               completion made on the owning thread itself skips the
+//               eventfd mailbox: the loop flushes it right after the
+//               event that produced it
 //
 // Because a reader never waits for a response, N pipelined requests on
 // one connection execute concurrently across the worker pool; the slot
-// deque re-serializes only the bytes on the wire.
+// deque re-serializes only the bytes on the wire. Work the sink does
+// inline is bounded per wakeup: a connection gets at most one 64 KiB
+// read chunk per epoll event (the loop is level-triggered, so unread
+// bytes raise the next event), so a pipelining client cannot hold the
+// loop against its other connections.
 //
 // Admission control lives at both ends of an I/O thread: a connection
 // with max_inflight_per_conn unanswered requests (or an unread response
 // backlog above kMaxBufferedOutBytes) stops being read until it drains,
-// and the sink sheds with BUSY when the worker queue is full — an
-// overloaded server degrades to fast BUSY answers instead of stalling
-// its I/O threads (the old reader blocked inside BoundedQueue::Push).
+// and the sink sheds pool-bound requests with BUSY when the worker
+// queue is full — an overloaded server degrades to fast BUSY answers
+// instead of stalling its I/O threads.
 
 #ifndef HOPDB_SERVER_EVENT_LOOP_H_
 #define HOPDB_SERVER_EVENT_LOOP_H_
@@ -125,8 +133,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
 };
 
 /// Where parsed requests go. Implemented by DistanceServer; called on
-/// I/O threads, so implementations must not block (enqueue or answer
-/// inline via Connection::Complete).
+/// I/O threads, so implementations must not block (enqueue, or answer
+/// inline via Connection::Complete when the work is short).
 class RequestSink {
  public:
   virtual ~RequestSink() = default;
@@ -173,7 +181,9 @@ class IoThread {
   /// (thread-safe; the fd is made non-blocking on adoption).
   void Adopt(int fd);
   /// Asks the owner thread to flush `conn` (thread-safe; used by
-  /// Connection::Complete when a response becomes writable).
+  /// Connection::Complete when a response becomes writable). Called on
+  /// the owner thread itself, it queues the flush locally instead of
+  /// waking the loop through the mailbox.
   void RequestFlush(std::shared_ptr<Connection> conn);
   /// shutdown(SHUT_RD)s every connection: in-flight requests still get
   /// answered and flushed, but no new bytes are read (thread-safe).
@@ -188,10 +198,15 @@ class IoThread {
  private:
   void Run();
   void DrainMailbox();
+  /// Flushes the connections completed on this thread since the last
+  /// call, including any that those flushes complete in turn.
+  void FlushLocal();
   void AddConnection(int fd);
-  /// Reads and parses until EAGAIN, EOF, a fatal framing error, or the
-  /// in-flight cap pauses the connection.
-  void ProcessInput(const std::shared_ptr<Connection>& conn);
+  /// Parses what is buffered, then (when `read_socket`) reads one chunk
+  /// and parses it, stopping early at EOF, a fatal framing error, or the
+  /// in-flight cap pausing the connection.
+  void ProcessInput(const std::shared_ptr<Connection>& conn,
+                    bool read_socket);
   /// Splits conn->in_ into requests; returns false on fatal error.
   bool ParseBuffered(const std::shared_ptr<Connection>& conn);
   /// Encodes completed head slots and writes; re-arms EPOLLOUT or
@@ -219,6 +234,9 @@ class IoThread {
 
   /// Owner-thread-only: every live connection on this loop.
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
+  /// Owner-thread-only: connections completed on this thread, awaiting
+  /// the flush that follows the current event.
+  std::vector<std::shared_ptr<Connection>> local_flushes_;
 
   /// Cross-thread mailbox, drained on wake_fd_ wakeups.
   std::mutex mailbox_mu_;

@@ -103,7 +103,7 @@ class ServingSnapshot {
   /// One-to-many distances from s to every target (ORIGINAL ids, all of
   /// which must be < num_vertices()), answered by one pivot-bucket join
   /// (query/batch.h) over this snapshot's labels. Backs BATCH requests
-  /// and same-source DIST micro-batches.
+  /// of at least kBatchEngineMin targets (server.cc).
   std::vector<Distance> QueryOneToMany(VertexId s,
                                        const std::vector<VertexId>& targets)
       const;

@@ -111,11 +111,6 @@ class ServerMetrics {
     path_requests_.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordReload() { reloads_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordMicroBatch(uint64_t batched_queries) {
-    micro_batches_.fetch_add(1, std::memory_order_relaxed);
-    micro_batched_queries_.fetch_add(batched_queries,
-                                     std::memory_order_relaxed);
-  }
 
   uint64_t requests() const {
     return requests_.load(std::memory_order_relaxed);
@@ -147,12 +142,10 @@ class ServerMetrics {
     return path_requests_.load(std::memory_order_relaxed);
   }
   uint64_t reloads() const { return reloads_.load(std::memory_order_relaxed); }
-  uint64_t micro_batches() const {
-    return micro_batches_.load(std::memory_order_relaxed);
-  }
-  uint64_t micro_batched_queries() const {
-    return micro_batched_queries_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: DIST runs on the I/O threads one pair at a time, so no
+  /// same-source group is ever bucket-joined. Kept for callers that
+  /// still report it.
+  uint64_t micro_batched_queries() const { return 0; }
 
   /// Overall (non-degraded) latency percentile; see
   /// LatencyHistogram::PercentileUs.
@@ -182,8 +175,6 @@ class ServerMetrics {
   std::atomic<uint64_t> reach_requests_{0};
   std::atomic<uint64_t> path_requests_{0};
   std::atomic<uint64_t> reloads_{0};
-  std::atomic<uint64_t> micro_batches_{0};
-  std::atomic<uint64_t> micro_batched_queries_{0};
 
   /// accepted -> written, requests answered OK.
   LatencyHistogram latency_;

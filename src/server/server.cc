@@ -26,12 +26,26 @@ namespace hopdb {
 
 namespace {
 
-/// Same-source DIST groups at or above this size go through the
-/// OneToManyEngine instead of independent label intersections.
-constexpr size_t kMicroBatchGroupMin = 2;
+/// BATCH requests with at least this many targets use the bucket join
+/// (and run on the worker pool). Its O(|V|) bucket build costs 40-60 us
+/// on a 50k-vertex graph, the price of ~64 label merges at ~0.7 us each.
+constexpr size_t kBatchEngineMin = 64;
 
-/// BATCH requests with at least this many targets use the bucket join.
-constexpr size_t kBatchEngineMin = 4;
+/// Verbs answered on the I/O thread that parsed them: each costs at
+/// most a few label merges, less than the hand-off to a worker and
+/// back. Everything else queues for the worker pool.
+bool RunsInline(const Request& request) {
+  switch (request.kind) {
+    case RequestKind::kPing:
+    case RequestKind::kDist:
+    case RequestKind::kReach:
+      return true;
+    case RequestKind::kBatch:
+      return request.targets.size() < kBatchEngineMin;
+    default:
+      return false;
+  }
+}
 
 /// Answers one (s, t) pair through the snapshot's cache.
 Distance CachedQuery(const ServingSnapshot& snapshot, VertexId s, VertexId t) {
@@ -289,8 +303,8 @@ void DistanceServer::AcceptLoop() {
 
 // ---------------------------------------------------------------------------
 // RequestSink: the I/O threads deliver parsed requests here. Never
-// blocks — admission control answers inline when the queue can't take
-// the work.
+// blocks — cheap verbs run to completion inline, and admission control
+// answers inline when the queue can't take the rest.
 // ---------------------------------------------------------------------------
 
 void DistanceServer::HandleRequest(const std::shared_ptr<Connection>& conn,
@@ -298,6 +312,13 @@ void DistanceServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                                    RequestTrace trace) {
   trace.kind = request.kind;
   trace.enqueued_ns = MonotonicNowNs();
+  if (RunsInline(request)) {
+    // No queue: the queue-wait stage is zero-width, and the I/O thread
+    // writes the answer right after this event instead of being woken.
+    trace.dequeued_ns = trace.enqueued_ns;
+    Finish(conn, seq, ExecuteWire(request), trace);
+    return;
+  }
   WorkItem item;
   item.request = std::move(request);
   item.conn = conn;
@@ -360,140 +381,24 @@ void DistanceServer::WorkerLoop() {
   while (true) {
     batch.clear();
     if (queue_.PopBatch(&batch, options_.max_micro_batch) == 0) break;
-    ExecuteWorkBatch(&batch);
+    const uint64_t dequeued_ns = MonotonicNowNs();
+    for (WorkItem& item : batch) item.trace.dequeued_ns = dequeued_ns;
+    if (options_.pre_execute_hook) {
+      for (const WorkItem& item : batch) options_.pre_execute_hook(item.request);
+    }
+    for (WorkItem& item : batch) {
+      Finish(item.conn, item.seq, ExecuteWire(item.request), item.trace);
+    }
   }
 }
 
-void DistanceServer::Finish(WorkItem* item, WireResponse response) {
+void DistanceServer::Finish(const std::shared_ptr<Connection>& conn,
+                            uint64_t seq, WireResponse response,
+                            RequestTrace trace) {
   if (response.status != WireStatus::kOk) metrics_.RecordError();
   metrics_.CountRequest();
-  item->trace.executed_ns = MonotonicNowNs();
-  item->conn->Complete(item->seq, std::move(response), item->trace);
-}
-
-void DistanceServer::ExecuteWorkBatch(std::vector<WorkItem>* items) {
-  const uint64_t dequeued_ns = MonotonicNowNs();
-  for (WorkItem& item : *items) item.trace.dequeued_ns = dequeued_ns;
-  if (options_.pre_execute_hook) {
-    for (const WorkItem& item : *items) options_.pre_execute_hook(item.request);
-  }
-  // DIST requests that miss the cache are deferred and grouped by
-  // (snapshot, source) so one OneToManyEngine pass can answer a whole
-  // group. Requests for different indexes in the same drain resolve to
-  // different snapshots and therefore never mix. Each pending entry
-  // keeps its snapshot shared_ptr: even if the index is DETACHed or
-  // RELOADed mid-batch, the group is answered (coherently) on the
-  // snapshot it resolved.
-  struct PendingDist {
-    size_t item_index;
-    std::shared_ptr<const ServingSnapshot> snap;
-    VertexId s, t;
-  };
-  std::vector<PendingDist> pending;
-
-  // Memoize name -> snapshot for this drain: most batches target one or
-  // two indexes, and resolving per item would pay a registry mutex +
-  // map lookup on every DIST. A whole drain intentionally sees one
-  // consistent snapshot per name (same RCU semantics as a single
-  // in-flight request).
-  std::vector<std::pair<const std::string*,
-                        std::shared_ptr<const ServingSnapshot>>> resolved;
-  // Returns by value (one refcount bump): a reference into `resolved`
-  // would dangle across the push_back of the next distinct name.
-  auto resolve = [&](const std::string& name)
-      -> std::shared_ptr<const ServingSnapshot> {
-    for (const auto& [known, snap] : resolved) {
-      if (*known == name) return snap;
-    }
-    resolved.emplace_back(&name, registry_.Find(name));
-    return resolved.back().second;
-  };
-
-  for (size_t i = 0; i < items->size(); ++i) {
-    WorkItem& item = (*items)[i];
-    const Request& req = item.request;
-    if (req.kind == RequestKind::kDist) {
-      std::shared_ptr<const ServingSnapshot> snap = resolve(req.index_name);
-      if (snap == nullptr) {
-        Finish(&item, ErrNoSuchIndex(req.index_name));
-        continue;
-      }
-      const VertexId s = req.src;
-      const VertexId t = req.targets[0];
-      const VertexId n = snap->num_vertices();
-      if (s >= n || t >= n) {
-        Finish(&item, ErrVertexOutOfRange(n));
-        continue;
-      }
-      metrics_.RecordDist();
-      Distance d = kInfDistance;
-      if (snap->cache().Lookup(s, t, &d)) {
-        Finish(&item, WireDistanceResponse(d));
-      } else {
-        pending.push_back(PendingDist{i, std::move(snap), s, t});
-      }
-    } else if (req.kind == RequestKind::kBatch ||
-               req.kind == RequestKind::kKnn ||
-               req.kind == RequestKind::kWithin ||
-               req.kind == RequestKind::kReach ||
-               req.kind == RequestKind::kPath) {
-      // The other routed verbs share the memoized resolution so the
-      // whole drain sees one snapshot per name and pays the registry
-      // mutex once, same as DIST.
-      const std::shared_ptr<const ServingSnapshot> snap =
-          resolve(req.index_name);
-      if (snap == nullptr) {
-        Finish(&item, ErrNoSuchIndex(req.index_name));
-      } else {
-        Finish(&item, ExecuteOnWire(req, *snap));
-      }
-    } else {
-      Finish(&item, ExecuteWire(req));
-    }
-  }
-  if (pending.empty()) return;
-
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const PendingDist& a, const PendingDist& b) {
-                     if (a.snap.get() != b.snap.get()) {
-                       return a.snap.get() < b.snap.get();
-                     }
-                     return a.s < b.s;
-                   });
-  size_t group_start = 0;
-  while (group_start < pending.size()) {
-    size_t group_end = group_start + 1;
-    while (group_end < pending.size() &&
-           pending[group_end].snap.get() == pending[group_start].snap.get() &&
-           pending[group_end].s == pending[group_start].s) {
-      ++group_end;
-    }
-    const size_t group_size = group_end - group_start;
-    const ServingSnapshot& snap = *pending[group_start].snap;
-    const VertexId s = pending[group_start].s;
-    if (group_size >= kMicroBatchGroupMin) {
-      // One bucket join answers every queued query from this source.
-      std::vector<VertexId> targets;
-      targets.reserve(group_size);
-      for (size_t j = group_start; j < group_end; ++j) {
-        targets.push_back(pending[j].t);
-      }
-      const std::vector<Distance> dists = snap.QueryOneToMany(s, targets);
-      for (size_t j = group_start; j < group_end; ++j) {
-        const Distance d = dists[j - group_start];
-        snap.cache().Insert(s, pending[j].t, d);
-        Finish(&(*items)[pending[j].item_index], WireDistanceResponse(d));
-      }
-      metrics_.RecordMicroBatch(group_size);
-    } else {
-      const VertexId t = pending[group_start].t;
-      const Distance d = snap.Query(s, t);
-      snap.cache().Insert(s, t, d);
-      Finish(&(*items)[pending[group_start].item_index],
-             WireDistanceResponse(d));
-    }
-    group_start = group_end;
-  }
+  trace.executed_ns = MonotonicNowNs();
+  conn->Complete(seq, std::move(response), trace);
 }
 
 std::string DistanceServer::Execute(const Request& request) {
@@ -660,10 +565,6 @@ WireResponse DistanceServer::StatsResponse(const ServingSnapshot& snapshot) {
              std::to_string(metrics_.reach_requests()));
   AppendStat(&payload, "path_requests",
              std::to_string(metrics_.path_requests()));
-  AppendStat(&payload, "micro_batches",
-             std::to_string(metrics_.micro_batches()));
-  AppendStat(&payload, "micro_batched_queries",
-             std::to_string(metrics_.micro_batched_queries()));
   AppendStat(&payload, "cache_hits", std::to_string(cache.hits));
   AppendStat(&payload, "cache_misses", std::to_string(cache.misses));
   AppendStat(&payload, "cache_hit_rate", FormatDouble(cache.HitRate(), 4));
@@ -791,14 +692,6 @@ WireResponse DistanceServer::MetricsResponse() {
              "PATH (shortest-path unfolding) requests executed.");
   PromSample(&text, "hopdb_path_requests_total", "",
              std::to_string(metrics_.path_requests()));
-  PromFamily(&text, "hopdb_micro_batches_total", "counter",
-             "Same-source DIST groups answered by one one-to-many scan.");
-  PromSample(&text, "hopdb_micro_batches_total", "",
-             std::to_string(metrics_.micro_batches()));
-  PromFamily(&text, "hopdb_micro_batched_queries_total", "counter",
-             "DIST queries answered inside those micro-batches.");
-  PromSample(&text, "hopdb_micro_batched_queries_total", "",
-             std::to_string(metrics_.micro_batched_queries()));
 
   // Latency histograms. Buckets are powers of two in microseconds (the
   // le bound is the bucket's inclusive upper edge).
@@ -961,10 +854,14 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
     return WireOk("nothing to commit");
   }
   Stopwatch commit_timer;
+  Stopwatch step;
   session->updater->Finalize();
+  const double finalize_ms = step.Millis();
   // Deep-copy the repaired working index into the snapshot so later
   // edge ops keep mutating the session copy, never a published one.
+  step.Restart();
   HopDbIndex published = session->index;
+  const double copy_ms = step.Millis();
   const uint64_t committed = session->pending_updates;
   // Publish under the same per-name lock RELOAD uses, so a commit and a
   // reload of one index serialize. Lock order is session->mu then the
@@ -981,29 +878,17 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   if (current == nullptr) return ErrNoSuchIndex(resolved);
   // PATH must keep answering against the committed adjacency, so the
   // new snapshot's path graph is frozen from the session's (updated)
-  // dynamic graph — not re-read from the on-disk file, which still
-  // describes the pre-update graph. ToEdgeList is in rank space; remap
-  // to the original ids snapshots serve.
-  std::shared_ptr<const CsrGraph> path_graph;
-  {
-    const RankMapping& ranking = session->index.ranking();
-    const EdgeList ranked = session->graph.ToEdgeList();
-    EdgeList original(ranked.num_vertices(), ranked.directed());
-    original.set_weighted(ranked.weighted());
-    for (const Edge& e : ranked.edges()) {
-      original.Add(ranking.ToOriginal(e.src), ranking.ToOriginal(e.dst),
-                   e.weight);
-    }
-    original.Normalize();
-    Result<CsrGraph> frozen = CsrGraph::FromEdgeList(original);
-    if (frozen.ok()) {
-      path_graph =
-          std::make_shared<const CsrGraph>(std::move(frozen).value());
-    }
-  }
+  // dynamic graph, in the original ids snapshots serve — not re-read
+  // from the on-disk file, which still describes the pre-update graph.
+  step.Restart();
+  std::shared_ptr<const CsrGraph> path_graph = std::make_shared<const CsrGraph>(
+      session->graph.ToOriginalCsr(session->index.ranking()));
+  const double freeze_ms = step.Millis();
+  step.Restart();
   auto snapshot = std::make_shared<ServingSnapshot>(
       std::move(published), current->source_path(), options_.cache_capacity,
       options_.hot_hub_k, std::move(path_graph));
+  const double snapshot_ms = step.Millis();
   // Carry forward result-cache entries this commit cannot have changed:
   // Query(s, t) reads only Lout(s) and Lin(t), so a cached pair is
   // stale iff the repair touched either of those labels. When the
@@ -1011,6 +896,7 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   // full rebuild) filtering approaches "drop everything" at full scan
   // cost, so revert to the wholesale drop (the new snapshot's cache
   // simply starts empty, the pre-selective behavior).
+  step.Restart();
   uint64_t cache_carried = 0;
   uint64_t cache_dropped = 0;
   {
@@ -1042,6 +928,7 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
       });
     }
   }
+  const double carry_ms = step.Millis();
   const VertexId vertices = snapshot->num_vertices();
   const Status status = registry_.Publish(resolved, std::move(snapshot));
   if (!status.ok()) return WireErr(status.ToString());
@@ -1054,7 +941,12 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
       .Fixed("seconds", session->last_commit_seconds, 3)
       .Num("vertices", vertices)
       .Num("cache_carried", cache_carried)
-      .Num("cache_dropped", cache_dropped);
+      .Num("cache_dropped", cache_dropped)
+      .Fixed("finalize_ms", finalize_ms, 2)
+      .Fixed("copy_ms", copy_ms, 2)
+      .Fixed("freeze_ms", freeze_ms, 2)
+      .Fixed("snapshot_ms", snapshot_ms, 2)
+      .Fixed("carry_ms", carry_ms, 2);
   return WireOk("committed updates=" + std::to_string(committed) +
                 " seconds=" + FormatDouble(session->last_commit_seconds, 3) +
                 " vertices=" + std::to_string(vertices) +

@@ -10,21 +10,28 @@
 //        │    lines / v2 frames, opens an ordered response slot per
 //        │    request; pauses reading at the per-connection in-flight
 //        │    cap (admission control)
+//        │
+//        ├─ cheap verbs (DIST, REACH, PING, BATCH below kBatchEngineMin
+//        │  targets) run to completion right here: snapshot = registry
+//        │  lookup, per-snapshot sharded LRU cache, one label merge per
+//        │  pair; at most one 64 KiB read chunk of them per connection
+//        │  per wakeup
 //        ▼
 //   BoundedQueue<WorkItem>  ◀── TryPush: full queue sheds with BUSY
 //        │                      instead of stalling an I/O thread
-//        ▼  PopBatch (micro-batching)
-//   worker pool (N threads) ── snapshot = registry lookup (per request)
-//        │                       ├─ per-snapshot sharded LRU cache
-//        │                       ├─ same-source DIST groups answered via
-//        │                       │  OneToManyEngine (one label scan for
-//        │                       │  the whole group)
-//        │                       └─ KNN via the snapshot's lazy KnnEngine
+//        ▼  PopBatch
+//   worker pool (N threads) ── everything else: large BATCH via
+//        │                     OneToManyEngine (one bucket join), KNN /
+//        │                     WITHIN via the snapshot's lazy KnnEngine,
+//        │                     PATH, STATS/METRICS/TRACE, the admin verbs
+//        │                     and ADDEDGE/DELEDGE/COMMIT
 //        ▼
 //   Connection::Complete(seq, WireResponse) ── the owning I/O thread
 //        encodes (v1 or v2, whichever the socket negotiated) and writes
-//        completed slots in request order; pipelined requests on one
-//        connection execute concurrently, only their bytes re-serialize
+//        completed slots in request order (an inline answer is written
+//        right after the event that produced it, a worker's through the
+//        loop's eventfd mailbox); pipelined requests on one connection
+//        execute concurrently, only their bytes re-serialize
 //
 // The registry (index_registry.h) holds one RCU-swappable snapshot per
 // index name. Unprefixed requests hit the default index; `USE <name>`
@@ -92,7 +99,7 @@ struct ServerOptions {
   /// and handing only the non-hub label suffixes to the merge-join.
   /// Costs 8k bytes per vertex side of RAM per snapshot; 0 disables.
   uint32_t hot_hub_k = 64;
-  /// Max requests one worker drains per wakeup (micro-batch size).
+  /// Max requests one worker drains from the queue per wakeup.
   uint32_t max_micro_batch = 32;
   /// Path RELOAD-without-argument re-reads for the default index;
   /// typically the file the index was loaded from. Empty = bare RELOAD
@@ -109,10 +116,12 @@ struct ServerOptions {
   /// microseconds are emitted to the structured JSON slow-query log
   /// (util/log.h) and counted in `slow_queries`. 0 disables.
   uint64_t slow_query_us = 0;
-  /// Test hook, called by a worker for each request just before it
-  /// executes (after dequeue). Lets tests hold one request in place
-  /// while its pipelined neighbors proceed — the completion-driven
-  /// ordering proof. Must be thread-safe; null in production.
+  /// Test hook, called by a worker for each pool-bound request just
+  /// before it executes (after dequeue); verbs answered on the I/O
+  /// thread never reach it, since holding one would stall the loop.
+  /// Lets tests hold one request in place while its pipelined neighbors
+  /// proceed — the completion-driven ordering proof. Must be
+  /// thread-safe; null in production.
   std::function<void(const Request&)> pre_execute_hook;
 };
 
@@ -209,7 +218,7 @@ class DistanceServer : public RequestSink {
 
   /// Executes one already-parsed request against the current snapshots
   /// and renders the v1 response line, bypassing the socket layer and
-  /// the queue (tests and in-worker admin verbs funnel here).
+  /// the queue (tests and bench_serve_load funnel here).
   std::string Execute(const Request& request);
 
   // RequestSink (called from I/O threads):
@@ -232,8 +241,9 @@ class DistanceServer : public RequestSink {
   Status Listen();
   void AcceptLoop();
   void WorkerLoop();
-  void ExecuteWorkBatch(std::vector<WorkItem>* items);
-  void Finish(WorkItem* item, WireResponse response);
+  /// Counts the answer, stamps executed_ns and completes slot `seq`.
+  void Finish(const std::shared_ptr<Connection>& conn, uint64_t seq,
+              WireResponse response, RequestTrace trace);
   /// Framing-independent execution; Execute() is its v1 rendering.
   WireResponse ExecuteWire(const Request& request);
   WireResponse ExecuteOnWire(const Request& request,

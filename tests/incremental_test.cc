@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -621,6 +623,90 @@ TEST(IncrementalTest, TouchedOwnersAllAfterRebuildFallback) {
   EXPECT_TRUE(touched.all);
   // The reset clears the all flag too.
   EXPECT_FALSE(updater.TakeTouchedOwners().all);
+}
+
+// COMMIT freezes the path graph straight from the dynamic graph in
+// original ids. That must equal the general route (rank-space
+// ToEdgeList, remap to original ids, Normalize, FromEdgeList) after any
+// add/delete stream.
+void CheckOriginalFreeze(const DynamicGraph& dyn, const RankMapping& ranking) {
+  const EdgeList ranked = dyn.ToEdgeList();
+  EdgeList original(ranked.num_vertices(), ranked.directed());
+  original.set_weighted(ranked.weighted());
+  for (const Edge& e : ranked.edges()) {
+    original.Add(ranking.ToOriginal(e.src), ranking.ToOriginal(e.dst),
+                 e.weight);
+  }
+  original.Normalize();
+  auto want = CsrGraph::FromEdgeList(original);
+  ASSERT_TRUE(want.ok()) << want.status();
+  const CsrGraph got = dyn.ToOriginalCsr(ranking);
+  ASSERT_EQ(got.num_vertices(), want->num_vertices());
+  ASSERT_EQ(got.directed(), want->directed());
+  ASSERT_EQ(got.weighted(), want->weighted());
+  ASSERT_EQ(got.num_edges(), want->num_edges());
+  const auto same = [](std::span<const Arc> a, std::span<const Arc> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Arc& x, const Arc& y) {
+                        return x.to == y.to && x.weight == y.weight;
+                      });
+  };
+  for (VertexId v = 0; v < want->num_vertices(); ++v) {
+    ASSERT_TRUE(same(got.OutArcs(v), want->OutArcs(v))) << "v=" << v;
+    ASSERT_TRUE(same(got.InArcs(v), want->InArcs(v))) << "v=" << v;
+  }
+  EXPECT_EQ(got.ToEdgeList().edges(), original.edges());
+}
+
+void RunOriginalFreezeStream(EdgeList edges, bool weighted, uint64_t seed) {
+  if (weighted) AssignUniformWeights(&edges, 1, 9, seed);
+  edges.Normalize();
+  auto graph = CsrGraph::FromEdgeList(edges);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  const RankMapping ranking = ComputeRanking(
+      *graph, graph->directed() ? RankingPolicy::kInOutProduct
+                                : RankingPolicy::kDegree);
+  auto ranked = RelabelByRank(*graph, ranking);
+  ASSERT_TRUE(ranked.ok()) << ranked.status();
+  DynamicGraph dyn = DynamicGraph::FromGraph(*ranked);
+  Rng rng(seed);
+  const VertexId n = dyn.num_vertices();
+  for (int op = 0; op < 600; ++op) {
+    const VertexId u = static_cast<VertexId>(rng.Below(n));
+    if (rng.Below(2) == 0) {
+      const VertexId v = static_cast<VertexId>(rng.Below(n));
+      if (u == v) continue;
+      dyn.AddArc(u, v, weighted ? static_cast<Distance>(rng.Uniform(1, 9)) : 1);
+    } else {
+      const std::span<const Arc> arcs = dyn.OutArcs(u);
+      if (arcs.empty()) continue;
+      ASSERT_TRUE(dyn.RemoveArc(u, arcs[rng.Below(arcs.size())].to));
+    }
+    if (op % 150 == 149) {
+      SCOPED_TRACE("op=" + std::to_string(op));
+      CheckOriginalFreeze(dyn, ranking);
+    }
+  }
+}
+
+TEST(IncrementalTest, OriginalFreezeMatchesNormalizeUndirected) {
+  RunOriginalFreezeStream(GlpGraph(160, 4.0, /*seed=*/131), false, 331);
+}
+
+TEST(IncrementalTest, OriginalFreezeMatchesNormalizeUndirectedWeighted) {
+  RunOriginalFreezeStream(BaGraph(160, 3, /*seed=*/132), true, 332);
+}
+
+TEST(IncrementalTest, OriginalFreezeMatchesNormalizeDirected) {
+  GlpOptions options;
+  options.num_vertices = 160;
+  options.target_avg_degree = 4.0;
+  options.seed = 133;
+  for (const bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unweighted");
+    RunOriginalFreezeStream(GenerateDirectedGlp(options).ValueOrDie(),
+                            weighted, 333);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // pipelined requests executing concurrently (the completion-driven
 // ordering proof), BUSY shedding when the work queue saturates,
 // slow-loris partial writers, oversize request lines, bad protocol
-// magic, clients vanishing mid-response, and half-closed pipelines.
+// magic, clients vanishing mid-response, half-closed pipelines, and
+// point queries answered while the worker pool is held.
 // These tests run under the sanitizer presets too — several exist
 // mainly so TSan/ASan can watch the failure paths.
 
@@ -12,6 +13,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -120,6 +122,12 @@ class RawConn {
   }
 
   void HalfCloseWrites() { shutdown(fd_, SHUT_WR); }
+  /// Makes RecvLine give up (return false) after `seconds` of silence.
+  void SetRecvTimeout(int seconds) {
+    timeval tv{};
+    tv.tv_sec = seconds;
+    setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
   void Close() {
     if (fd_ >= 0) {
       close(fd_);
@@ -164,9 +172,10 @@ class ServerRobustnessTest : public ::testing::Test {
 // its worker hostage until the three requests behind it have been
 // dispatched — under the old design that is a deadlock (the later
 // requests were never read off the socket), so this test passing at all
-// is the proof.
+// is the proof. The hook only sees pool verbs, hence KNN: a DIST would
+// run on the I/O thread and never reach it.
 TEST_F(ServerRobustnessTest, PipelinedRequestsExecuteConcurrently) {
-  constexpr VertexId kBlockedSrc = 111;
+  constexpr VertexId kBlockedSrc = 999999;
   std::mutex mu;
   std::condition_variable cv;
   int others_dispatched = 0;
@@ -177,7 +186,7 @@ TEST_F(ServerRobustnessTest, PipelinedRequestsExecuteConcurrently) {
   options.max_micro_batch = 1;  // one request per worker drain
   options.pre_execute_hook = [&](const Request& request) {
     std::unique_lock<std::mutex> lock(mu);
-    if (request.kind == RequestKind::kDist && request.src == kBlockedSrc) {
+    if (request.kind == RequestKind::kKnn && request.src == kBlockedSrc) {
       overlap_seen = cv.wait_for(lock, std::chrono::seconds(10),
                                  [&] { return others_dispatched >= 3; });
       return;
@@ -189,10 +198,10 @@ TEST_F(ServerRobustnessTest, PipelinedRequestsExecuteConcurrently) {
 
   RawConn conn;
   ASSERT_TRUE(conn.Connect(server_->port()));
-  // The blocked request targets an out-of-range vertex so its response
+  // The blocked request names an out-of-range source so its response
   // is distinguishable from the three behind it.
   ASSERT_TRUE(
-      conn.SendAll("DIST 111 999999\nDIST 5 6\nDIST 7 8\nDIST 9 10\n"));
+      conn.SendAll("KNN 999999 3\nKNN 5 3\nKNN 7 3\nKNN 9 3\n"));
 
   std::string line;
   ASSERT_TRUE(conn.RecvLine(&line));
@@ -214,7 +223,7 @@ TEST_F(ServerRobustnessTest, PipelinedRequestsExecuteConcurrently) {
 // accepted ≤ parsed ≤ enqueued ≤ dequeued ≤ executed ≤ encoded ≤ written
 // because each stamp is taken by the thread that owns that stage.
 TEST_F(ServerRobustnessTest, TraceTimestampsMonotonicUnderPipelining) {
-  constexpr VertexId kBlockedSrc = 111;
+  constexpr VertexId kBlockedSrc = 999999;
   std::mutex mu;
   std::condition_variable cv;
   int others_dispatched = 0;
@@ -226,7 +235,7 @@ TEST_F(ServerRobustnessTest, TraceTimestampsMonotonicUnderPipelining) {
   options.trace_ring_capacity = 16;
   options.pre_execute_hook = [&](const Request& request) {
     std::unique_lock<std::mutex> lock(mu);
-    if (request.kind == RequestKind::kDist && request.src == kBlockedSrc) {
+    if (request.kind == RequestKind::kKnn && request.src == kBlockedSrc) {
       cv.wait_for(lock, std::chrono::seconds(10),
                   [&] { return others_dispatched >= 3; });
       return;
@@ -239,7 +248,7 @@ TEST_F(ServerRobustnessTest, TraceTimestampsMonotonicUnderPipelining) {
   RawConn conn;
   ASSERT_TRUE(conn.Connect(server_->port()));
   ASSERT_TRUE(
-      conn.SendAll("DIST 111 999999\nDIST 5 6\nDIST 7 8\nDIST 9 10\n"));
+      conn.SendAll("KNN 999999 3\nKNN 5 3\nKNN 7 3\nKNN 9 3\n"));
   std::string line;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(conn.RecvLine(&line));
@@ -285,7 +294,7 @@ TEST_F(ServerRobustnessTest, OverloadShedsWithBusy) {
   options.queue_capacity = 1;
   options.max_micro_batch = 1;
   options.pre_execute_hook = [&](const Request& request) {
-    if (request.kind != RequestKind::kDist || request.src != kBlockedSrc) {
+    if (request.kind != RequestKind::kKnn || request.src != kBlockedSrc) {
       return;
     }
     std::unique_lock<std::mutex> lock(mu);
@@ -297,7 +306,7 @@ TEST_F(ServerRobustnessTest, OverloadShedsWithBusy) {
 
   RawConn conn;
   ASSERT_TRUE(conn.Connect(server_->port()));
-  ASSERT_TRUE(conn.SendAll("DIST 111 1\n"));
+  ASSERT_TRUE(conn.SendAll("KNN 111 3\n"));
   {
     // Wait until the only worker is provably stuck inside request 1 —
     // from here on the queue's single slot and the shed path are
@@ -308,7 +317,7 @@ TEST_F(ServerRobustnessTest, OverloadShedsWithBusy) {
   }
   // Request 2 takes the queue's only slot; 3..8 must shed.
   std::string burst;
-  for (int i = 0; i < 7; ++i) burst += "DIST 5 6\n";
+  for (int i = 0; i < 7; ++i) burst += "KNN 5 3\n";
   ASSERT_TRUE(conn.SendAll(burst));
 
   // Shedding happens at enqueue time on the I/O thread, so it completes
@@ -322,6 +331,21 @@ TEST_F(ServerRobustnessTest, OverloadShedsWithBusy) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(server_->metrics().shed(), 6u);
+
+  // The inline verbs never queue, so a full queue cannot shed them: a
+  // DIST on another connection is answered while the worker is stuck.
+  {
+    RawConn other;
+    ASSERT_TRUE(other.Connect(server_->port()));
+    other.SetRecvTimeout(10);
+    ASSERT_TRUE(other.SendAll("DIST 5 6\nREACH 5 6 100\nBATCH 5 6 7\n"));
+    std::string answer;
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(other.RecvLine(&answer)) << "inline answer " << i;
+      EXPECT_TRUE(StartsWith(answer, "OK ")) << answer;
+    }
+    EXPECT_EQ(server_->metrics().shed(), 6u);
+  }
 
   // Responses are ordered, so the BUSY answers for 3..8 are buffered
   // behind the blocked request 1. Release it and read all eight.
@@ -357,6 +381,55 @@ TEST_F(ServerRobustnessTest, OverloadShedsWithBusy) {
   EXPECT_NE(line.find("shed=6"), std::string::npos) << line;
 }
 
+
+// A DIST must never wait behind a long pool verb. With the only worker
+// held inside a COMMIT, a DIST on a second connection is still answered
+// (it runs on the I/O thread), and the COMMIT completes once released.
+TEST_F(ServerRobustnessTest, DistAnsweredWhileOnlyWorkerHoldsCommit) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool worker_blocked = false;
+  bool release = false;
+
+  ServerOptions options;
+  options.num_workers = 1;
+  options.pre_execute_hook = [&](const Request& request) {
+    if (request.kind != RequestKind::kCommit) return;
+    std::unique_lock<std::mutex> lock(mu);
+    worker_blocked = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return release; });
+  };
+  StartServer(std::move(options));
+
+  RawConn writer;
+  ASSERT_TRUE(writer.Connect(server_->port()));
+  ASSERT_TRUE(writer.SendAll("COMMIT\n"));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return worker_blocked; }));
+  }
+
+  RawConn reader;
+  ASSERT_TRUE(reader.Connect(server_->port()));
+  reader.SetRecvTimeout(5);
+  ASSERT_TRUE(reader.SendAll("DIST 5 6\n"));
+  std::string line;
+  const bool answered = reader.RecvLine(&line);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(answered) << "DIST waited behind the COMMIT holding the "
+                           "only worker";
+  EXPECT_TRUE(StartsWith(line, "OK ")) << line;
+
+  writer.SetRecvTimeout(10);
+  ASSERT_TRUE(writer.RecvLine(&line));
+  EXPECT_EQ(line, "OK nothing to commit");
+}
 // A slow-loris writer dribbling one byte at a time must not stall the
 // event loop: a second client on the SAME single I/O thread gets served
 // while the loris is mid-line, and the loris still gets its answer.

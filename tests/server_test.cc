@@ -808,9 +808,11 @@ TEST_F(ServerEndToEndTest, DistMatchesOracleAndCaches) {
 
 TEST_F(ServerEndToEndTest, BatchMatchesOracle) {
   const std::vector<Distance> truth = ExactDistances(graph_, 9);
-  // Large batch (engine path) and small batch (direct path).
+  // Large batch (engine path on a worker: at least kBatchEngineMin = 64
+  // targets) and small batch (pair by pair on the I/O thread).
+  constexpr VertexId kBigTargets = 100;
   std::string big = "BATCH 9";
-  for (VertexId t = 0; t < 25; ++t) {
+  for (VertexId t = 0; t < kBigTargets; ++t) {
     big += ' ';
     big += std::to_string(t);
   }
@@ -818,8 +820,8 @@ TEST_F(ServerEndToEndTest, BatchMatchesOracle) {
   ASSERT_TRUE(StartsWith(response, "OK "));
   const std::vector<std::string> tokens =
       SplitString(response.substr(3), ' ');
-  ASSERT_EQ(tokens.size(), 25u);
-  for (VertexId t = 0; t < 25; ++t) {
+  ASSERT_EQ(tokens.size(), kBigTargets);
+  for (VertexId t = 0; t < kBigTargets; ++t) {
     ASSERT_EQ(*ParseDistanceToken(tokens[t]), truth[t]) << "t=" << t;
   }
   const std::string small = *client_.RoundTrip("BATCH 9 1 2");
