@@ -1,4 +1,4 @@
-// Design-choice ablations for the decisions DESIGN.md calls out:
+// Ablations for the design choices the paper's method rests on:
 //   1. pruning off vs on              (Section 3.3 is what keeps labels small)
 //   2. candidate witnesses off vs on  (Section 4.2's outer-block detail)
 //   3. ranking policy                 (degree vs in×out product vs identity)
@@ -183,7 +183,7 @@ int Run(int argc, char** argv) {
   BenchEnv env;
   if (!InitBenchEnv(argc, argv,
                     "ablation_design: ablations for the design choices "
-                    "DESIGN.md calls out",
+                    "the paper's method rests on",
                     &env)) {
     return 0;
   }

@@ -10,27 +10,30 @@
 //                    the pre-blocking flat layout
 //   blocked/<kernel> QueryFlatHalves over the blocked arenas (sidecar
 //                    skip-scan)
-//   hothub/<kernel>  HotHubCache (k=64) dense-table fold + suffix merge
-//   stream/<kernel>  CompressedIndex::Query — the kernel's varint
-//                    stream leg, no decompression pass
+//   stream/scalar    CompressedIndex::Query — the varint stream merge
+//                    every kernel shares, no decompression pass
 //   index/default    TwoHopIndex::Query as served (blocked + default
 //                    kernel)
 // plus one OneToManyEngine row timing over the flat bucket arena.
 //
-// Every variant's distance checksum must agree — the bench doubles as an
-// end-to-end bit-identical check — and the JSON written to --out
-// (default BENCH_query_kernel.json) records ns/query per variant with
-// speedups relative to aos/scalar, plus hardware cache-miss and
-// branch-miss rates per query (perf_event_open; -1 when the kernel
-// forbids counting) so blocking wins are attributable to memory
-// behavior.
+// Every variant is timed in kRounds interleaved rounds, each round
+// starting at a different variant, and reports its median ns/query with
+// the min/max over rounds. Every pass's distance checksum must agree —
+// the bench doubles as an end-to-end bit-identical check — and the JSON
+// written to --out (default BENCH_query_kernel.json) records the
+// per-variant medians with speedups relative to aos/scalar, plus
+// hardware cache-miss and branch-miss rates per query (perf_event_open;
+// -1 when the kernel forbids counting) so blocking wins are attributable
+// to memory behavior.
 //
 //   bench_query_kernel            # 100k-vertex GLP, ~200k queries
 //   bench_query_kernel --ci       # small graph + regression gate:
 //                                 # exits nonzero unless checksums agree
 //                                 # and blocked is no slower than flat
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -45,7 +48,6 @@
 #include "labeling/builder.h"
 #include "labeling/compressed_index.h"
 #include "labeling/flat_label_store.h"
-#include "labeling/hot_hub.h"
 #include "labeling/query_kernel.h"
 #include "labeling/two_hop_index.h"
 #include "query/batch.h"
@@ -57,12 +59,33 @@
 namespace hopdb {
 namespace {
 
-struct VariantResult {
+/// Timed rounds per variant; the reported ns/query is their median.
+constexpr int kRounds = 7;
+
+/// One full pass over a query stream, returning the distance checksum.
+using Pass = std::function<uint64_t(const std::vector<QueryPair>&)>;
+
+/// Wraps a per-pair query in a pass whose loop is compiled per variant,
+/// so the type erasure costs one indirect call per pass, not per query.
+template <typename QueryFn>
+Pass TimedPass(QueryFn query_fn) {
+  return [query_fn](const std::vector<QueryPair>& pairs) {
+    uint64_t sink = 0;
+    for (const QueryPair& p : pairs) sink += query_fn(p.s, p.t);
+    return sink;
+  };
+}
+
+struct Variant {
   std::string name;
-  double ns_per_query = 0;
-  uint64_t checksum = 0;
-  double cache_misses_per_query = -1;   // -1 = counters unavailable
-  double branch_misses_per_query = -1;
+  /// Made active before every pass (the aos, stream and index legs
+  /// dispatch through ActiveQueryKernel()).
+  const QueryKernel* kernel;
+  Pass pass;
+  std::vector<double> ns;  // ns/query per round
+  double median_ns = 0;
+  uint64_t cache_misses = 0;   // summed over the timed rounds
+  uint64_t branch_misses = 0;
 };
 
 int Run(int argc, char** argv) {
@@ -72,7 +95,6 @@ int Run(int argc, char** argv) {
   flags.Define("seed", "7", "graph + workload seed");
   flags.Define("queries", "200000", "random point queries per variant");
   flags.Define("threads", "0", "builder threads (0 = all cores)");
-  flags.Define("hot-hub-k", "64", "hot-hub cache pivot count");
   flags.Define("out", "BENCH_query_kernel.json",
                "machine-readable output path");
   flags.Define("ci", "false",
@@ -89,7 +111,6 @@ int Run(int argc, char** argv) {
   const size_t num_queries =
       ci ? 50000 : static_cast<size_t>(flags.GetUint("queries"));
   const uint64_t seed = flags.GetUint("seed");
-  const uint32_t hot_hub_k = static_cast<uint32_t>(flags.GetUint("hot-hub-k"));
 
   GlpOptions glp;
   glp.num_vertices = n;
@@ -135,7 +156,6 @@ int Run(int argc, char** argv) {
   flat_view.block_min = nullptr;
   flat_view.block_max = nullptr;
 
-  const HotHubCache hub = HotHubCache::Build(blocked_view, hot_hub_k);
   auto compressed = CompressedIndex::FromIndex(index);
   if (!compressed.ok()) {
     std::cerr << "compression failed: " << compressed.status() << "\n";
@@ -148,101 +168,113 @@ int Run(int argc, char** argv) {
     std::cout << "  (hardware counters unavailable — ns/query only)\n";
   }
 
-  // One warmup + one timed pass per variant; the checksum (sum of all
-  // distances, inf counted as-is) must be identical across variants.
-  auto run_variant = [&](const std::string& name, auto&& query_fn) {
-    VariantResult result;
-    result.name = name;
-    uint64_t sink = 0;
-    const size_t warmup = std::min<size_t>(pairs.size(), 4096);
-    for (size_t i = 0; i < warmup; ++i) {
-      sink += query_fn(pairs[i].s, pairs[i].t);
-    }
-    sink = 0;
-    counters.Start();
-    Stopwatch watch;
-    for (const QueryPair& p : pairs) sink += query_fn(p.s, p.t);
-    const double seconds = watch.Seconds();
-    const bench::PerfCounters::Reading hw = counters.Stop();
-    const double per = static_cast<double>(pairs.size());
-    result.ns_per_query = seconds * 1e9 / per;
-    result.checksum = sink;
-    if (counters.available()) {
-      result.cache_misses_per_query =
-          static_cast<double>(hw.cache_misses) / per;
-      result.branch_misses_per_query =
-          static_cast<double>(hw.branch_misses) / per;
-    }
-    std::cout << "  " << name
-              << std::string(18 - std::min<size_t>(17, name.size()), ' ')
-              << FormatDouble(result.ns_per_query, 1) << " ns/query";
-    if (counters.available()) {
-      std::cout << "  cm/q " << FormatDouble(result.cache_misses_per_query, 2)
-                << "  bm/q "
-                << FormatDouble(result.branch_misses_per_query, 2);
-    }
-    std::cout << "\n";
-    return result;
+  std::vector<Variant> variants;
+  const auto add = [&variants](std::string name, const QueryKernel* kernel,
+                               Pass pass) {
+    Variant v;
+    v.name = std::move(name);
+    v.kernel = kernel;
+    v.pass = std::move(pass);
+    variants.push_back(std::move(v));
   };
-
-  std::vector<VariantResult> results;
-  const std::string default_kernel = ActiveQueryKernel().name;
+  const QueryKernel* default_kernel = &ActiveQueryKernel();
   for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    SetActiveQueryKernel(kernel->name);
     // The pre-flat-store hot path: per-vertex heap vectors, AoS merge.
-    results.push_back(run_variant(
-        std::string("aos/") + kernel->name, [&](VertexId s, VertexId t) {
+    add(std::string("aos/") + kernel->name, kernel,
+        TimedPass([&](VertexId s, VertexId t) {
           return QueryLabelHalves(index.OutLabel(s), index.InLabel(t), s, t);
         }));
   }
-  double flat_total_ns = 0;
   for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    const VariantResult r = run_variant(
-        std::string("flat/") + kernel->name, [&](VertexId s, VertexId t) {
+    add(std::string("flat/") + kernel->name, kernel,
+        TimedPass([&, kernel](VertexId s, VertexId t) {
           return QueryFlatHalves(flat_view.Out(s), flat_view.In(t), s, t,
                                  *kernel);
-        });
-    flat_total_ns += r.ns_per_query;
-    results.push_back(r);
+        }));
   }
-  double blocked_total_ns = 0;
   for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    const VariantResult r = run_variant(
-        std::string("blocked/") + kernel->name, [&](VertexId s, VertexId t) {
+    add(std::string("blocked/") + kernel->name, kernel,
+        TimedPass([&, kernel](VertexId s, VertexId t) {
           return QueryFlatHalves(blocked_view.Out(s), blocked_view.In(t), s,
                                  t, *kernel);
-        });
-    blocked_total_ns += r.ns_per_query;
-    results.push_back(r);
-  }
-  for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    results.push_back(run_variant(
-        std::string("hothub/") + kernel->name, [&](VertexId s, VertexId t) {
-          return hub.Query(blocked_view, s, t, *kernel);
         }));
   }
-  for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    SetActiveQueryKernel(kernel->name);
-    results.push_back(run_variant(
-        std::string("stream/") + kernel->name, [&](VertexId s, VertexId t) {
-          return compressed->Query(s, t);
-        }));
-  }
-  SetActiveQueryKernel(default_kernel);
-  results.push_back(run_variant("index/default", [&](VertexId s, VertexId t) {
-    return index.Query(s, t);
-  }));
+  // Every kernel shares the scalar stream merge, so one row covers it.
+  add("stream/scalar", SupportedQueryKernels().front(),
+      TimedPass([&](VertexId s, VertexId t) {
+        return compressed->Query(s, t);
+      }));
+  add("index/default", default_kernel,
+      TimedPass([&](VertexId s, VertexId t) { return index.Query(s, t); }));
 
-  bool checksums_agree = true;
-  for (const VariantResult& r : results) {
-    if (r.checksum != results[0].checksum) checksums_agree = false;
+  // One warmup pass per variant, then kRounds timed rounds. Each round
+  // starts at a different variant so no variant always runs first, last
+  // or right after the same neighbour; the per-variant median is the
+  // reported figure and min/max show the round-to-round spread.
+  const size_t warmup = std::min<size_t>(pairs.size(), 4096);
+  const std::vector<QueryPair> warmup_pairs(pairs.begin(),
+                                            pairs.begin() + warmup);
+  for (Variant& v : variants) {
+    SetActiveQueryKernel(v.kernel->name);
+    v.pass(warmup_pairs);
   }
+  const double per = static_cast<double>(pairs.size());
+  bool checksums_agree = true;
+  uint64_t reference_checksum = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const size_t offset = static_cast<size_t>(round) * variants.size() /
+                          static_cast<size_t>(kRounds);
+    for (size_t i = 0; i < variants.size(); ++i) {
+      Variant& v = variants[(offset + i) % variants.size()];
+      SetActiveQueryKernel(v.kernel->name);
+      counters.Start();
+      Stopwatch watch;
+      const uint64_t checksum = v.pass(pairs);
+      const double seconds = watch.Seconds();
+      const bench::PerfCounters::Reading hw = counters.Stop();
+      v.ns.push_back(seconds * 1e9 / per);
+      v.cache_misses += hw.cache_misses;
+      v.branch_misses += hw.branch_misses;
+      // The checksum (sum of all distances, inf counted as-is) must be
+      // identical across variants and rounds.
+      if (round == 0 && i == 0) reference_checksum = checksum;
+      if (checksum != reference_checksum) checksums_agree = false;
+    }
+  }
+  SetActiveQueryKernel(default_kernel->name);
   if (!checksums_agree) {
     std::cerr << "FATAL: variants disagree on the distance checksum\n";
   }
 
+  const double timed_queries = per * kRounds;
+  const auto per_query = [&](uint64_t events) {
+    return counters.available()
+               ? static_cast<double>(events) / timed_queries
+               : -1.0;
+  };
+  for (Variant& v : variants) {
+    std::sort(v.ns.begin(), v.ns.end());
+    v.median_ns = v.ns[v.ns.size() / 2];
+    std::cout << "  " << v.name
+              << std::string(18 - std::min<size_t>(17, v.name.size()), ' ')
+              << FormatDouble(v.median_ns, 1) << " ns/query  ["
+              << FormatDouble(v.ns.front(), 1) << " .. "
+              << FormatDouble(v.ns.back(), 1) << "]";
+    if (counters.available()) {
+      std::cout << "  cm/q " << FormatDouble(per_query(v.cache_misses), 2)
+                << "  bm/q " << FormatDouble(per_query(v.branch_misses), 2);
+    }
+    std::cout << "\n";
+  }
+
   // The CI regression gate: blocking must never cost throughput
-  // (summed across kernels to damp single-variant noise).
+  // (median ns summed across kernels to damp single-variant noise).
+  double flat_total_ns = 0;
+  double blocked_total_ns = 0;
+  for (const Variant& v : variants) {
+    if (v.name.rfind("flat/", 0) == 0) flat_total_ns += v.median_ns;
+    if (v.name.rfind("blocked/", 0) == 0) blocked_total_ns += v.median_ns;
+  }
   const double blocked_vs_flat =
       blocked_total_ns > 0 ? flat_total_ns / blocked_total_ns : 0;
   bool gate_ok = true;
@@ -278,7 +310,7 @@ int Run(int argc, char** argv) {
               << (sink & 0xff) << "]\n";
   }
 
-  const double base = results.empty() ? 0 : results[0].ns_per_query;
+  const double base = variants.front().median_ns;
   const std::string out_path = flags.GetString("out");
   std::ofstream out(out_path);
   if (!out) {
@@ -295,9 +327,8 @@ int Run(int argc, char** argv) {
       << "  \"avg_label\": " << FormatDouble(index.AvgLabelSize(), 2) << ",\n"
       << "  \"build_seconds\": " << FormatDouble(build_seconds, 2) << ",\n"
       << "  \"queries\": " << pairs.size() << ",\n"
-      << "  \"default_kernel\": \"" << default_kernel << "\",\n"
-      << "  \"hot_hub_k\": " << hub.k() << ",\n"
-      << "  \"hot_hub_bytes\": " << hub.SizeBytes() << ",\n"
+      << "  \"rounds\": " << kRounds << ",\n"
+      << "  \"default_kernel\": \"" << default_kernel->name << "\",\n"
       << "  \"compressed_bytes\": " << compressed->SizeBytes() << ",\n"
       << "  \"perf_counters_available\": "
       << (counters.available() ? "true" : "false") << ",\n"
@@ -308,16 +339,18 @@ int Run(int argc, char** argv) {
       << "  \"one_to_many_row_us\": " << FormatDouble(one_to_many_us, 2)
       << ",\n"
       << "  \"variants\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const VariantResult& r = results[i];
-    out << "    {\"name\": \"" << r.name << "\", \"ns_per_query\": "
-        << FormatDouble(r.ns_per_query, 1) << ", \"speedup_vs_aos_scalar\": "
-        << FormatDouble(base > 0 ? base / r.ns_per_query : 0, 3)
+  for (size_t i = 0; i < variants.size(); ++i) {
+    const Variant& v = variants[i];
+    out << "    {\"name\": \"" << v.name << "\", \"ns_per_query\": "
+        << FormatDouble(v.median_ns, 1) << ", \"ns_min\": "
+        << FormatDouble(v.ns.front(), 1) << ", \"ns_max\": "
+        << FormatDouble(v.ns.back(), 1) << ", \"speedup_vs_aos_scalar\": "
+        << FormatDouble(base / v.median_ns, 3)
         << ", \"cache_misses_per_query\": "
-        << FormatDouble(r.cache_misses_per_query, 2)
+        << FormatDouble(per_query(v.cache_misses), 2)
         << ", \"branch_misses_per_query\": "
-        << FormatDouble(r.branch_misses_per_query, 2) << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+        << FormatDouble(per_query(v.branch_misses), 2) << "}"
+        << (i + 1 < variants.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "wrote " << out_path << "\n";

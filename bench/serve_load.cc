@@ -29,11 +29,9 @@
 // execute / write) histograms the server keeps for every request are
 // reported in the JSON as "stages".
 //
-// A second paired run drives Zipfian degree-ranked traffic (the skewed
-// source mix scale-free query logs actually show; --skew turns the same
-// mix on for the sweep) at two servers differing only in the hot-hub
-// cache, recording the client p99 and server execute p50 with the cache
-// off vs on under "hot_hub_skew" in the JSON.
+// --skew switches the sweep from uniform + hot-pair traffic to Zipfian
+// degree-ranked sources and targets (the skewed mix scale-free query
+// logs actually show).
 //
 //   bench_serve_load            # full run, tiers 100,1000,4000
 //   bench_serve_load --ci       # seconds-long CI mode, tiers 100,1000
@@ -102,9 +100,9 @@ struct TierResult {
 };
 
 // Zipfian vertex sampler over a degree-ranked order: rank r is drawn
-// with probability ∝ 1/(r+1)^alpha, so the highest-degree vertices —
-// the hubs whose labels the HotHubCache densifies — dominate the
-// stream, the way query traffic concentrates on scale-free networks.
+// with probability ∝ 1/(r+1)^alpha, so the highest-degree vertices
+// dominate the stream, the way query traffic concentrates on scale-free
+// networks.
 // Exact inverse-CDF sampling (binary search over the cumulative
 // weights); no Zipf approximation needed at bench-scale |V|.
 class ZipfSampler {
@@ -476,9 +474,6 @@ int Run(int argc, char** argv) {
   flags.Define("skew", "0",
                "Zipf exponent for degree-ranked source/target draws in "
                "the tier sweep (0 = uniform + hot pairs)");
-  flags.Define("hot-hub-k", "1024",
-               "hot-hub cache size for the skew comparison pair "
-               "(0 skips the pair)");
   flags.Define("out", "BENCH_serve.json", "machine-readable output path");
   flags.Define("ci", "false", "CI mode: small graph, short run, tiers "
                               "100,1000");
@@ -605,65 +600,10 @@ int Run(int argc, char** argv) {
             << FormatDouble(p99_on, 1) << " us on ("
             << (overhead_ok ? "within" : "OVER") << " budget)\n";
 
-  // --- Hot-hub skew pair: Zipfian degree-ranked traffic against two
-  // servers that differ only in the hot-hub cache (off vs k). The
-  // result cache is disabled on both so repeated hub pairs cannot mask
-  // the label-scan cost the dense top-k fold is meant to cut — this is
-  // the cache-microarchitecture win the skewed workload exists to show.
-  // Same interleaved min-of-3 discipline as the tracing pair; the
-  // server-side execute p50 is the direct kernel-level signal, client
-  // p99 the end-to-end one. Recorded in the JSON, not gated: loopback
-  // perf deltas are machine-dependent.
   const double skew = flags.GetDouble("skew");
-  const double pair_alpha = skew > 0 ? skew : 0.99;
-  const uint32_t hot_hub_k = static_cast<uint32_t>(
-      std::min<uint64_t>(flags.GetUint("hot-hub-k"), n));
-  const std::vector<VertexId> degree_order = DegreeOrder(*edges);
-  const ZipfSampler pair_zipf(degree_order, pair_alpha);
-  double hub_p99[2] = {0, 0};      // [0] = hub off, [1] = hub on
-  double hub_exec_p50[2] = {0, 0};
-  if (hot_hub_k > 0) {
-    std::unique_ptr<DistanceServer> hub_servers[2];
-    for (int pass = 0; pass < 2; ++pass) {
-      auto hub_index = HopDbIndex::Build(*edges);
-      if (!hub_index.ok()) {
-        std::cerr << "index build failed: " << hub_index.status() << "\n";
-        return 1;
-      }
-      auto hub_snapshot = std::make_shared<const ServingSnapshot>(
-          std::move(*hub_index), "", /*cache_capacity=*/0,
-          pass == 0 ? 0 : hot_hub_k);
-      auto hub_server = DistanceServer::Start(hub_snapshot, options);
-      if (!hub_server.ok()) {
-        std::cerr << "server start failed: " << hub_server.status() << "\n";
-        return 1;
-      }
-      hub_servers[pass] = std::move(*hub_server);
-    }
-    for (int rep = 0; rep < 3; ++rep) {
-      for (int pass = 0; pass < 2; ++pass) {
-        OpenLoopGenerator hub_gen(
-            hub_servers[pass]->port(), v2, n, seed,
-            flags.GetDouble("hot-fraction"),
-            static_cast<uint32_t>(flags.GetUint("hot-pairs")),
-            flags.GetUint("batch-every"), &pair_zipf);
-        const TierResult r =
-            hub_gen.RunTier(overhead_tier, rate, overhead_seconds);
-        if (rep == 0 || r.p99 < hub_p99[pass]) hub_p99[pass] = r.p99;
-      }
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-      hub_exec_p50[pass] = static_cast<double>(
-          hub_servers[pass]->metrics().execute_histogram().PercentileUs(50));
-      hub_servers[pass]->Stop();
-    }
-    std::cout << "hot-hub skew pair (zipf " << FormatDouble(pair_alpha, 2)
-              << ", k=" << hot_hub_k << ") @ tier " << overhead_tier
-              << ": p99 " << FormatDouble(hub_p99[0], 1) << " us off, "
-              << FormatDouble(hub_p99[1], 1) << " us on; execute p50 "
-              << FormatDouble(hub_exec_p50[0], 1) << " -> "
-              << FormatDouble(hub_exec_p50[1], 1) << " us\n";
-  }
+  const ZipfSampler zipf(skew > 0 ? DegreeOrder(*edges)
+                                  : std::vector<VertexId>(),
+                         skew);
 
   auto server = DistanceServer::Start(snapshot, options);
   if (!server.ok()) {
@@ -678,7 +618,7 @@ int Run(int argc, char** argv) {
   OpenLoopGenerator generator(port, v2, n, seed, flags.GetDouble("hot-fraction"),
                               static_cast<uint32_t>(flags.GetUint("hot-pairs")),
                               flags.GetUint("batch-every"),
-                              skew > 0 ? &pair_zipf : nullptr);
+                              skew > 0 ? &zipf : nullptr);
   std::vector<TierResult> results;
   for (const size_t tier : tiers) {
     TierResult result = generator.RunTier(tier, rate, seconds);
@@ -758,14 +698,6 @@ int Run(int argc, char** argv) {
       << ", \"p99_us_sampling_off\": " << FormatDouble(p99_off, 1)
       << ", \"p99_us_sampling_on\": " << FormatDouble(p99_on, 1)
       << ", \"within_budget\": " << (overhead_ok ? "true" : "false")
-      << "},\n"
-      << "  \"hot_hub_skew\": {\"alpha\": " << FormatDouble(pair_alpha, 2)
-      << ", \"hot_hub_k\": " << hot_hub_k
-      << ", \"connections\": " << overhead_tier
-      << ", \"p99_us_hub_off\": " << FormatDouble(hub_p99[0], 1)
-      << ", \"p99_us_hub_on\": " << FormatDouble(hub_p99[1], 1)
-      << ", \"execute_p50_us_hub_off\": " << FormatDouble(hub_exec_p50[0], 1)
-      << ", \"execute_p50_us_hub_on\": " << FormatDouble(hub_exec_p50[1], 1)
       << "},\n"
       << "  \"stages\": {";
   for (size_t i = 0; i < 3; ++i) {

@@ -1,7 +1,7 @@
 // Table 6 reproduction: index size, indexing time, in-memory query time
 // and disk query time for BIDIJ, IS-Label, PLL, and HopDb across the
 // dataset registry (GLP stand-ins for the paper's SNAP/KONECT graphs —
-// see DESIGN.md §4). "—" marks DNF (budget or resource cap), matching
+// see the eval runbook in docs/OPERATIONS.md). "—" marks DNF (budget or resource cap), matching
 // the paper's 24-hour-cutoff dashes.
 //
 // Expected shape vs the paper:
@@ -89,7 +89,8 @@ int Run(int argc, char** argv) {
 
   std::printf(
       "Table 6: performance comparison on complete 2-hop indexing\n"
-      "(GLP stand-ins; paper-scale |V|,|E| in DESIGN.md; budget %.0fs)\n\n",
+      "(GLP stand-ins; paper-scale |V|,|E| in src/eval/datasets.cc; "
+      "budget %.0fs)\n\n",
       env.budget_seconds);
 
   AsciiTable table(

@@ -22,7 +22,8 @@ std::vector<DatasetSpec> MakeTable6Datasets() {
   // and otherwise shrink |V| (and for the two rating/social graphs with
   // |E|/|V| > 100, the density) while preserving the density ordering of
   // the paper's table. Tier 0 runs by default; tiers 1-3 opt in via
-  // flags (--tier). See DESIGN.md §4 for the substitution rationale.
+  // flags (--tier). The eval runbook in docs/OPERATIONS.md records the
+  // substitution.
   return {
       // --- undirected unweighted -------------------------------------
       {"Delicious", "undirected unweighted", false, false, 5300000,

@@ -3,8 +3,8 @@
 // The paper evaluates on SNAP/KONECT graphs plus GLP synthetics. The
 // benchmark machines here are offline, so each real dataset is replaced
 // by a GLP-generated stand-in that matches its directedness, weightedness
-// and |E|/|V| density, with |V| scaled down to laptop scale (DESIGN.md §4
-// records the substitution). When a real edge-list file is available it
+// and |E|/|V| density, with |V| scaled down to laptop scale (the eval
+// runbook in docs/OPERATIONS.md records the substitution). When a real edge-list file is available it
 // can be dropped into --data_dir under "<name>.txt" and will be used
 // instead of the generator.
 

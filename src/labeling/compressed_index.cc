@@ -113,10 +113,10 @@ Result<TwoHopIndex> CompressedIndex::Decompress() const {
 Distance CompressedIndex::Query(VertexId s, VertexId t) const {
   if (s >= num_vertices_ || t >= num_vertices_) return kInfDistance;
   if (s == t) return 0;
-  // The active kernel's stream leg merges the two delta-varint payloads
-  // directly — SIMD kernels decode register-width blocks on the fly, so
-  // compressed queries ride the same dispatch as flat ones. The trivial
-  // pivots (t in Lout(s), s in Lin(t)) are the kernel's direct probes.
+  // The kernel's stream leg (one scalar merge shared by every kernel)
+  // merges the two delta-varint payloads directly, with no
+  // decompression pass. The trivial pivots (t in Lout(s), s in Lin(t))
+  // are its direct probes.
   const auto* payload = reinterpret_cast<const uint8_t*>(payload_.data());
   const uint32_t a_off = offsets_[SlotOut(s)];
   const uint32_t b_off = offsets_[SlotIn(t)];

@@ -161,65 +161,12 @@ Distance IntersectBlockedScalar(const uint32_t* ap, const uint32_t* ad,
   return best;
 }
 
-bool HasWitnessBlockedScalar(const uint32_t* ap, const uint32_t* ad,
-                             const uint32_t* abmin, const uint32_t* abmax,
-                             uint32_t an, const uint32_t* bp,
-                             const uint32_t* bd, const uint32_t* bbmin,
-                             const uint32_t* bbmax, uint32_t bn,
-                             VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    // All remaining real pivots on a side are >= its current block
-    // minimum, so reaching the beta bound here ends the whole probe.
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    const size_t i0 = static_cast<size_t>(ba) * kLabelBlockEntries;
-    const size_t j0 = static_cast<size_t>(bb) * kLabelBlockEntries;
-    size_t i = i0, j = j0;
-    const size_t ie = std::min<size_t>(an, i0 + kLabelBlockEntries);
-    const size_t je = std::min<size_t>(bn, j0 + kLabelBlockEntries);
-    while (i < ie && j < je) {
-      const uint32_t pa = ap[i];
-      const uint32_t pb = bp[j];
-      // Within this block pair every later pivot is larger, so nothing
-      // below beta remains in the pair — but later PAIRS restart at the
-      // other side's next block, so this only ends the pair, not the
-      // probe (unlike the sidecar check above).
-      if (pa >= beta || pb >= beta) break;
-      if (pa == pb) {
-        if (SaturatingAdd(ad[i], bd[j]) <= d) return true;
-        ++i;
-        ++j;
-      } else if (pa < pb) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Compressed-stream merge, scalar — the HLC1 delta-varint payload
 // decoded entry-at-a-time into a sorted merge, with the trivial-pivot
 // direct hits folded in (the exact semantics CompressedIndex::Query has
-// always had). The SIMD variants below decode register-width blocks
-// instead but keep the identical match/direct-hit set.
+// always had). Every kernel table points here: the merge is bound by
+// varint decoding, and register-width decode blocks measured no faster.
 // ---------------------------------------------------------------------------
 
 struct StreamCursor {
@@ -275,42 +222,12 @@ Distance IntersectStreamScalar(const uint8_t* a, size_t a_len,
   return best;
 }
 
-/// Register-width decode buffer for the SIMD stream kernels. Unused
-/// lanes are padded with 0xFFFFFFFF pivots/dists, which the all-pairs
-/// folds treat as inert (label_entry.h).
-struct StreamBlock {
-  alignas(64) uint32_t p[16];
-  alignas(64) uint32_t d[16];
-  uint32_t n = 0;
-};
-
-/// Decodes up to `width` entries into `blk`, folding any direct-pivot
-/// hit into the returned running minimum — every decoded entry passes
-/// through here exactly once, so the direct-hit set matches the scalar
-/// stream merge's.
-inline Distance RefillStream(StreamCursor* cur, StreamBlock* blk,
-                             uint32_t width, VertexId direct,
-                             Distance best) {
-  uint32_t n = 0;
-  while (n < width && cur->Next(&blk->p[n], &blk->d[n])) {
-    if (blk->p[n] == direct && blk->d[n] < best) best = blk->d[n];
-    ++n;
-  }
-  for (uint32_t k = n; k < width; ++k) {
-    blk->p[k] = kInvalidVertex;
-    blk->d[k] = kInfDistance;
-  }
-  blk->n = n;
-  return best;
-}
-
 constexpr QueryKernel kScalarKernel{
     "scalar",
     &IntersectFlatScalar,
     &IntersectEntriesScalar,
     &HasWitnessFlatScalar,
     &IntersectBlockedScalar,
-    &HasWitnessBlockedScalar,
     &IntersectStreamScalar};
 
 #if HOPDB_X86_KERNELS
@@ -532,102 +449,13 @@ IntersectBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
   return HorizontalMinU32(best);
 }
 
-__attribute__((target("avx2"))) bool
-HasWitnessBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
-                      const uint32_t* abmin, const uint32_t* abmax,
-                      uint32_t an, const uint32_t* bp, const uint32_t* bd,
-                      const uint32_t* bbmin, const uint32_t* bbmax,
-                      uint32_t bn, VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    // Probe the two padded blocks with the flat 8-lane kernel: padding
-    // pivots are >= beta, so the in-bound mask discards them.
-    if (HasWitnessFlatAvx2(
-            ap + static_cast<size_t>(ba) * kLabelBlockEntries,
-            ad + static_cast<size_t>(ba) * kLabelBlockEntries,
-            kLabelBlockEntries,
-            bp + static_cast<size_t>(bb) * kLabelBlockEntries,
-            bd + static_cast<size_t>(bb) * kLabelBlockEntries,
-            kLabelBlockEntries, beta, d)) {
-      return true;
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Compressed-stream merge, AVX2: decode 8-entry blocks per side into
-// stack buffers (direct hits folded at decode time), then run the same
-// all-pairs fold/advance scheme as the flat kernel. Partial end blocks
-// are sentinel-padded, so the fold needs no tail handling.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) Distance
-IntersectStreamAvx2(const uint8_t* a, size_t a_len, const uint8_t* b,
-                    size_t b_len, VertexId direct_a, VertexId direct_b) {
-  StreamCursor ca{a, 0, a_len};
-  StreamCursor cb{b, 0, b_len};
-  StreamBlock blk_a, blk_b;
-  Distance direct_best = kInfDistance;
-  direct_best = RefillStream(&ca, &blk_a, 8, direct_a, direct_best);
-  direct_best = RefillStream(&cb, &blk_b, 8, direct_b, direct_best);
-  __m256i best = _mm256_set1_epi32(-1);
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  while (blk_a.n > 0 && blk_b.n > 0) {
-    const __m256i va_p =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_a.p));
-    const __m256i va_d =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_a.d));
-    const __m256i vb_p =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_b.p));
-    const __m256i vb_d =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_b.d));
-    best = FoldMatches8(va_p, va_d, vb_p, vb_d, best, rot1);
-    const uint32_t amax = blk_a.p[blk_a.n - 1];
-    const uint32_t bmax = blk_b.p[blk_b.n - 1];
-    const bool adv_a = amax <= bmax;
-    const bool adv_b = bmax <= amax;
-    if (adv_a) direct_best = RefillStream(&ca, &blk_a, 8, direct_a,
-                                          direct_best);
-    if (adv_b) direct_best = RefillStream(&cb, &blk_b, 8, direct_b,
-                                          direct_best);
-  }
-  // One side is exhausted: nothing left to match, but the other side's
-  // remaining entries still owe their direct-hit checks (done inside
-  // RefillStream).
-  while (blk_a.n > 0) {
-    direct_best = RefillStream(&ca, &blk_a, 8, direct_a, direct_best);
-  }
-  while (blk_b.n > 0) {
-    direct_best = RefillStream(&cb, &blk_b, 8, direct_b, direct_best);
-  }
-  return std::min(direct_best, HorizontalMinU32(best));
-}
-
 constexpr QueryKernel kAvx2Kernel{
     "avx2",
     &IntersectFlatAvx2,
     &IntersectEntriesAvx2,
     &HasWitnessFlatAvx2,
     &IntersectBlockedAvx2,
-    &HasWitnessBlockedAvx2,
-    &IntersectStreamAvx2};
+    &IntersectStreamScalar};
 
 // ---------------------------------------------------------------------------
 // Blocked all-pairs merge, SSE4.2 (4 lanes). Same scheme with immediate
@@ -750,50 +578,12 @@ IntersectBlockedSse42(const uint32_t* ap, const uint32_t* ad,
   return best;
 }
 
-__attribute__((target("sse4.2"))) bool
-HasWitnessBlockedSse42(const uint32_t* ap, const uint32_t* ad,
-                       const uint32_t* abmin, const uint32_t* abmax,
-                       uint32_t an, const uint32_t* bp, const uint32_t* bd,
-                       const uint32_t* bbmin, const uint32_t* bbmax,
-                       uint32_t bn, VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    if (HasWitnessFlatSse42(
-            ap + static_cast<size_t>(ba) * kLabelBlockEntries,
-            ad + static_cast<size_t>(ba) * kLabelBlockEntries,
-            kLabelBlockEntries,
-            bp + static_cast<size_t>(bb) * kLabelBlockEntries,
-            bd + static_cast<size_t>(bb) * kLabelBlockEntries,
-            kLabelBlockEntries, beta, d)) {
-      return true;
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
 constexpr QueryKernel kSse42Kernel{
     "sse4.2",
     &IntersectFlatSse42,
     &IntersectEntriesScalar,
     &HasWitnessFlatSse42,
     &IntersectBlockedSse42,
-    &HasWitnessBlockedSse42,
     &IntersectStreamScalar};
 
 // ---------------------------------------------------------------------------
@@ -977,86 +767,13 @@ IntersectBlockedAvx512(const uint32_t* ap, const uint32_t* ad,
   return HorizontalMin16(best);
 }
 
-__attribute__((target("avx512f"))) bool
-HasWitnessBlockedAvx512(const uint32_t* ap, const uint32_t* ad,
-                        const uint32_t* abmin, const uint32_t* abmax,
-                        uint32_t an, const uint32_t* bp, const uint32_t* bd,
-                        const uint32_t* bbmin, const uint32_t* bbmax,
-                        uint32_t bn, VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    if (HasWitnessFlatAvx512(
-            ap + static_cast<size_t>(ba) * kLabelBlockEntries,
-            ad + static_cast<size_t>(ba) * kLabelBlockEntries,
-            kLabelBlockEntries,
-            bp + static_cast<size_t>(bb) * kLabelBlockEntries,
-            bd + static_cast<size_t>(bb) * kLabelBlockEntries,
-            kLabelBlockEntries, beta, d)) {
-      return true;
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
-__attribute__((target("avx512f"))) Distance
-IntersectStreamAvx512(const uint8_t* a, size_t a_len, const uint8_t* b,
-                      size_t b_len, VertexId direct_a, VertexId direct_b) {
-  StreamCursor ca{a, 0, a_len};
-  StreamCursor cb{b, 0, b_len};
-  StreamBlock blk_a, blk_b;
-  Distance direct_best = kInfDistance;
-  direct_best = RefillStream(&ca, &blk_a, 16, direct_a, direct_best);
-  direct_best = RefillStream(&cb, &blk_b, 16, direct_b, direct_best);
-  __m512i best = _mm512_set1_epi32(-1);
-  const __m512i rot1 = Rot1Index16();
-  while (blk_a.n > 0 && blk_b.n > 0) {
-    const __m512i va_p = _mm512_load_si512(blk_a.p);
-    const __m512i va_d = _mm512_load_si512(blk_a.d);
-    const __m512i vb_p = _mm512_load_si512(blk_b.p);
-    const __m512i vb_d = _mm512_load_si512(blk_b.d);
-    best = FoldMatches16(va_p, va_d, vb_p, vb_d, best, rot1);
-    const uint32_t amax = blk_a.p[blk_a.n - 1];
-    const uint32_t bmax = blk_b.p[blk_b.n - 1];
-    const bool adv_a = amax <= bmax;
-    const bool adv_b = bmax <= amax;
-    if (adv_a) direct_best = RefillStream(&ca, &blk_a, 16, direct_a,
-                                          direct_best);
-    if (adv_b) direct_best = RefillStream(&cb, &blk_b, 16, direct_b,
-                                          direct_best);
-  }
-  while (blk_a.n > 0) {
-    direct_best = RefillStream(&ca, &blk_a, 16, direct_a, direct_best);
-  }
-  while (blk_b.n > 0) {
-    direct_best = RefillStream(&cb, &blk_b, 16, direct_b, direct_best);
-  }
-  return std::min(direct_best, HorizontalMin16(best));
-}
-
 constexpr QueryKernel kAvx512Kernel{
     "avx512",
     &IntersectFlatAvx512,
     &IntersectEntriesAvx512,
     &HasWitnessFlatAvx512,
     &IntersectBlockedAvx512,
-    &HasWitnessBlockedAvx512,
-    &IntersectStreamAvx512};
+    &IntersectStreamScalar};
 
 #pragma GCC diagnostic pop
 

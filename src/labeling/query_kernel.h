@@ -26,9 +26,11 @@
 //            whose pivot ranges cannot overlap, touching the arenas only
 //            for blocks that can match
 //   stream   delta-varint compressed label streams (the HLC1 payload):
-//            the kernel decodes fixed-width register blocks on the fly
-//            and merges without materializing the label, so compressed
-//            indexes answer queries with no decompression pass
+//            one scalar merge shared by every kernel decodes entries on
+//            the fly without materializing the label, so compressed
+//            indexes answer queries with no decompression pass (the
+//            merge is bound by varint decoding; SIMD decode blocks
+//            measured no faster)
 //
 // Kernel selection is runtime CPUID dispatch: the first query picks the
 // widest auto-default the CPU supports (avx2 — avx512 stays opt-in to
@@ -105,19 +107,6 @@ struct QueryKernel {
                                 const uint32_t* b_block_min,
                                 const uint32_t* b_block_max, uint32_t b_size);
 
-  /// Blocked witness probe: has_witness_flat semantics over the blocked
-  /// layout, with a block-level early exit the moment either side's
-  /// current block minimum reaches the beta bound.
-  bool (*has_witness_blocked)(const uint32_t* a_pivots,
-                              const uint32_t* a_dists,
-                              const uint32_t* a_block_min,
-                              const uint32_t* a_block_max, uint32_t a_size,
-                              const uint32_t* b_pivots,
-                              const uint32_t* b_dists,
-                              const uint32_t* b_block_min,
-                              const uint32_t* b_block_max, uint32_t b_size,
-                              VertexId beta, Distance d);
-
   /// Delta-varint compressed streams (the HLC1 label payload: per entry
   /// a pivot gap varint — first gap relative to -1 — followed by a
   /// distance varint). Merges the two streams directly, additionally
@@ -126,6 +115,7 @@ struct QueryKernel {
   /// implicit trivial pivots: callers pass direct_a = t, direct_b = s).
   /// Pass kInvalidVertex to disable a direct probe. The streams must be
   /// well-formed (CompressedIndex validates on construction/load).
+  /// Every kernel points this at the same scalar merge.
   Distance (*intersect_stream)(const uint8_t* a, size_t a_len,
                                const uint8_t* b, size_t b_len,
                                VertexId direct_a, VertexId direct_b);

@@ -27,7 +27,7 @@ Status ValidateIndexName(const std::string& name) {
 }
 
 Result<std::shared_ptr<const ServingSnapshot>> LoadServingSnapshot(
-    const std::string& path, size_t cache_capacity, uint32_t hot_hub_k,
+    const std::string& path, size_t cache_capacity,
     const std::string& graph_path) {
   // Sniff the magic; the mapped path must not pay a whole-file read.
   char magic[4] = {0, 0, 0, 0};
@@ -40,7 +40,7 @@ Result<std::shared_ptr<const ServingSnapshot>> LoadServingSnapshot(
   if (std::string_view(magic, 4) == "HLI2") {
     HOPDB_ASSIGN_OR_RETURN(MappedIndex mapped, MappedIndex::Open(path));
     return std::make_shared<const ServingSnapshot>(std::move(mapped), path,
-                                                   cache_capacity, hot_hub_k);
+                                                   cache_capacity);
   }
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(path));
   std::shared_ptr<const CsrGraph> path_graph;
@@ -55,7 +55,7 @@ Result<std::shared_ptr<const ServingSnapshot>> LoadServingSnapshot(
     path_graph = std::make_shared<const CsrGraph>(std::move(graph));
   }
   return std::make_shared<const ServingSnapshot>(std::move(index), path,
-                                                 cache_capacity, hot_hub_k,
+                                                 cache_capacity,
                                                  std::move(path_graph));
 }
 

@@ -9,27 +9,9 @@
 
 namespace hopdb {
 
-void ServingSnapshot::InitHotHub(uint32_t k) {
-  if (k == 0) return;
-  if (mapped()) {
-    hub_ = HotHubCache::Build(mapped_->labels(), k);
-  } else if (index_.label_index().flat_store().built()) {
-    hub_ = HotHubCache::Build(index_.label_index().flat_store().view(), k);
-  }
-}
-
 Distance ServingSnapshot::Query(VertexId s, VertexId t) const {
-  if (hub_.enabled()) {
-    const VertexId n = num_vertices();
-    if (s >= n || t >= n) return kInfDistance;
-    if (mapped()) {
-      return hub_.Query(mapped_->labels(), mapped_->ToInternal(s),
-                        mapped_->ToInternal(t));
-    }
-    return hub_.Query(index_.label_index().flat_store().view(),
-                      index_.ranking().ToInternal(s),
-                      index_.ranking().ToInternal(t));
-  }
+  const VertexId n = num_vertices();
+  if (s >= n || t >= n) return kInfDistance;
   return mapped() ? mapped_->Query(s, t) : index_.Query(s, t);
 }
 

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "hopdb.h"
-#include "labeling/hot_hub.h"
 #include "labeling/mapped_index.h"
 #include "query/knn.h"
 #include "server/result_cache.h"
@@ -43,31 +42,36 @@ class ServingSnapshot {
   /// Heap-backed snapshot. `source_path` is the file RELOAD-without-
   /// argument re-reads; may be empty for in-memory indexes (RELOAD then
   /// requires an explicit path). `cache_capacity` sizes this snapshot's
-  /// result cache (0 disables). `hot_hub_k` sizes the snapshot's dense
-  /// top-k pivot table (labeling/hot_hub.h; 0 disables) — built here,
-  /// at publish time, so readers never see a partially built cache.
-  /// `path_graph` (ORIGINAL ids, the graph the index was built from)
-  /// enables PATH queries; the path engine is built lazily on first use.
+  /// result cache (0 disables). `path_graph` (ORIGINAL ids, the graph
+  /// the index was built from) enables PATH queries; the path engine is
+  /// built lazily on first use.
   ServingSnapshot(HopDbIndex index, std::string source_path,
-                  size_t cache_capacity, uint32_t hot_hub_k = 0,
+                  size_t cache_capacity,
                   std::shared_ptr<const CsrGraph> path_graph = nullptr)
       : index_(std::move(index)),
         path_graph_(std::move(path_graph)),
         source_path_(std::move(source_path)),
-        cache_(cache_capacity) {
-    InitHotHub(hot_hub_k);
-  }
+        cache_(cache_capacity) {}
 
   /// Mmap-backed snapshot over an opened HLI2 index. Same contract;
-  /// RELOAD on this snapshot is an O(1) remap of source_path (plus the
-  /// one-pass hot-hub build when enabled).
+  /// RELOAD on this snapshot is an O(1) remap of source_path.
   ServingSnapshot(MappedIndex index, std::string source_path,
-                  size_t cache_capacity, uint32_t hot_hub_k = 0)
+                  size_t cache_capacity)
       : mapped_(std::make_unique<MappedIndex>(std::move(index))),
         source_path_(std::move(source_path)),
-        cache_(cache_capacity) {
-    InitHotHub(hot_hub_k);
-  }
+        cache_(cache_capacity) {}
+
+  /// Compatibility overloads for callers that still pass
+  /// ServerOptions::hot_hub_k as a fourth argument: ignored; remove with
+  /// the next benchmark change.
+  ServingSnapshot(HopDbIndex index, std::string source_path,
+                  size_t cache_capacity, uint32_t /*ignored*/)
+      : ServingSnapshot(std::move(index), std::move(source_path),
+                        cache_capacity) {}
+  ServingSnapshot(MappedIndex index, std::string source_path,
+                  size_t cache_capacity, uint32_t /*ignored*/)
+      : ServingSnapshot(std::move(index), std::move(source_path),
+                        cache_capacity) {}
 
   /// True for mmap-backed snapshots.
   bool mapped() const { return mapped_ != nullptr; }
@@ -89,16 +93,10 @@ class ServingSnapshot {
   uint64_t ResidentBytes() const;
 
   /// Exact distance between ORIGINAL vertex ids — the single-pair query
-  /// entry point every DIST funnels through. Hub-first when the hot-hub
-  /// cache is enabled (dense top-k fold, then only the non-hub label
-  /// suffixes through the merge-join); the plain kernel path otherwise.
-  /// Bit-identical either way. Const and lock-free for concurrent
-  /// callers on either backing.
+  /// entry point every DIST funnels through: MappedIndex::Query or
+  /// HopDbIndex::Query. kInfDistance when s or t is not a vertex, on
+  /// either backing. Const and lock-free for concurrent callers.
   Distance Query(VertexId s, VertexId t) const;
-
-  /// The snapshot's hot-hub cache (disabled when hot_hub_k was 0 or the
-  /// backing has no flat label view). STATS reads k/SizeBytes off it.
-  const HotHubCache& hot_hub() const { return hub_; }
 
   /// One-to-many distances from s to every target (ORIGINAL ids, all of
   /// which must be < num_vertices()), answered by one pivot-bucket join
@@ -160,15 +158,8 @@ class ServingSnapshot {
   /// engine itself is read-only after construction.
   const KnnEngine& knn_engine() const;
 
-  /// Builds hub_ from the backing's label view when k > 0 and the
-  /// backing exposes one (mmap always; heap when its flat mirror is
-  /// built). Called from the constructors only — hub_ is immutable
-  /// afterwards, like everything else in a snapshot.
-  void InitHotHub(uint32_t k);
-
   HopDbIndex index_;                      // heap backing (when !mapped_)
   std::unique_ptr<MappedIndex> mapped_;   // mmap backing (when set)
-  HotHubCache hub_;
   /// ORIGINAL-id build graph backing PATH queries (heap snapshots only).
   std::shared_ptr<const CsrGraph> path_graph_;
   std::string source_path_;

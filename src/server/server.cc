@@ -231,7 +231,7 @@ Result<std::unique_ptr<DistanceServer>> DistanceServer::Start(
     HopDbIndex index, const ServerOptions& options) {
   return Start(std::make_shared<const ServingSnapshot>(
                    std::move(index), options.source_path,
-                   options.cache_capacity, options.hot_hub_k),
+                   options.cache_capacity),
                options);
 }
 
@@ -577,9 +577,6 @@ WireResponse DistanceServer::StatsResponse(const ServingSnapshot& snapshot) {
   AppendStat(&payload, "open_connections",
              std::to_string(open_connections()));
   AppendStat(&payload, "kernel", ActiveQueryKernel().name);
-  AppendStat(&payload, "hot_hub_k", std::to_string(snapshot.hot_hub().k()));
-  AppendStat(&payload, "hot_hub_bytes",
-             std::to_string(snapshot.hot_hub().SizeBytes()));
   AppendStat(&payload, "reloads", std::to_string(metrics_.reloads()));
   AppendStat(&payload, "connections", std::to_string(connections_accepted()));
   AppendStat(&payload, "vertices", std::to_string(snapshot.num_vertices()));
@@ -887,7 +884,7 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   step.Restart();
   auto snapshot = std::make_shared<ServingSnapshot>(
       std::move(published), current->source_path(), options_.cache_capacity,
-      options_.hot_hub_k, std::move(path_graph));
+      std::move(path_graph));
   const double snapshot_ms = step.Millis();
   // Carry forward result-cache entries this commit cannot have changed:
   // Query(s, t) reads only Lout(s) and Lin(t), so a cached pair is
@@ -975,7 +972,7 @@ Status DistanceServer::AttachInternal(
   }
   HOPDB_ASSIGN_OR_RETURN(
       std::shared_ptr<const ServingSnapshot> snapshot,
-      LoadServingSnapshot(path, options_.cache_capacity, options_.hot_hub_k,
+      LoadServingSnapshot(path, options_.cache_capacity,
                           RegisteredGraphPath(name)));
   if (published != nullptr) *published = snapshot;
   const Status status = registry_.Attach(name, snapshot);
@@ -1027,7 +1024,7 @@ Status DistanceServer::ReloadInternal(
   HOPDB_ASSIGN_OR_RETURN(
       std::shared_ptr<const ServingSnapshot> snapshot,
       LoadServingSnapshot(load_path, options_.cache_capacity,
-                          options_.hot_hub_k, RegisteredGraphPath(resolved)));
+                          RegisteredGraphPath(resolved)));
   if (published != nullptr) *published = snapshot;
   const std::string mode = snapshot->map_mode();
   const VertexId vertices = snapshot->num_vertices();

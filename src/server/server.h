@@ -93,11 +93,8 @@ struct ServerOptions {
   uint32_t max_inflight_per_conn = 128;
   /// Result-cache capacity in (s, t) pairs per snapshot; 0 disables.
   size_t cache_capacity = 1 << 16;
-  /// Hot-hub cache: every published snapshot materializes a dense
-  /// distance table for the top-k ranked pivots (labeling/hot_hub.h),
-  /// answering the hub-covered portion of each DIST with one dense fold
-  /// and handing only the non-hub label suffixes to the merge-join.
-  /// Costs 8k bytes per vertex side of RAM per snapshot; 0 disables.
+  /// Ignored; remove with the next benchmark change (the benchmark
+  /// harness still reads it to build its snapshots).
   uint32_t hot_hub_k = 64;
   /// Max requests one worker drains from the queue per wakeup.
   uint32_t max_micro_batch = 32;

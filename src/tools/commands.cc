@@ -566,9 +566,6 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
                 "epoll I/O threads (0 = min(4, cores))");
   flags->Define("cache-capacity", "65536",
                 "result cache entries per snapshot (0 disables)");
-  flags->Define("hot-hub-k", "64",
-                "dense hot-hub distance table over the top-k ranked "
-                "pivots, built per published snapshot (0 disables)");
   flags->Define("queue-capacity", "1024",
                 "bounded request queue length (requests beyond it are "
                 "shed with ERR BUSY)");
@@ -604,7 +601,6 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   options.num_workers = static_cast<uint32_t>(flags->GetUint("threads"));
   options.num_io_threads = static_cast<uint32_t>(flags->GetUint("io-threads"));
   options.cache_capacity = flags->GetUint("cache-capacity");
-  options.hot_hub_k = static_cast<uint32_t>(flags->GetUint("hot-hub-k"));
   options.queue_capacity = flags->GetUint("queue-capacity");
   options.listen_backlog = static_cast<int>(flags->GetUint("backlog"));
   options.max_inflight_per_conn =
@@ -643,7 +639,7 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_ASSIGN_OR_RETURN(
       std::shared_ptr<const ServingSnapshot> snapshot,
       LoadServingSnapshot(specs[0].path, options.cache_capacity,
-                          options.hot_hub_k, default_graph));
+                          default_graph));
   HOPDB_ASSIGN_OR_RETURN(std::unique_ptr<DistanceServer> server,
                          DistanceServer::Start(std::move(snapshot), options));
   // Graphs register before the secondary attaches so those snapshots

@@ -27,6 +27,7 @@
 #include "query/batch.h"
 #include "query/knn.h"
 #include "server/index_registry.h"
+#include "server/index_snapshot.h"
 #include "util/random.h"
 #include "util/serde.h"
 
@@ -502,6 +503,33 @@ TEST_F(MappedIndexTest, LoadServingSnapshotDispatchesOnMagic) {
   for (VertexId s = 0; s < 160; s += 31) {
     ASSERT_EQ((*heap_snap)->QueryOneToMany(s, targets),
               (*mmap_snap)->QueryOneToMany(s, targets));
+  }
+}
+
+TEST_F(MappedIndexTest, SnapshotQueryOutOfRangeIsInfOnBothBackings) {
+  for (const bool directed : {false, true}) {
+    const VertexId n = 150;
+    auto [index, hli2] = BuildBoth(n, 29, directed, directed, "snaprange");
+    const ServingSnapshot heap(HopDbIndex(index), "", 0);
+    const ServingSnapshot mapped(MappedIndex::Open(hli2).ValueOrDie(), hli2,
+                                 0);
+    for (const ServingSnapshot* snap : {&heap, &mapped}) {
+      SCOPED_TRACE(std::string(snap->map_mode()) +
+                   (directed ? " directed" : " undirected"));
+      for (const VertexId bad : {n, n + 1, kInvalidVertex - 1}) {
+        EXPECT_EQ(snap->Query(bad, 0), kInfDistance);
+        EXPECT_EQ(snap->Query(0, bad), kInfDistance);
+        EXPECT_EQ(snap->Query(bad, bad), kInfDistance);
+        EXPECT_FALSE(snap->QueryReach(bad, 0, kInfDistance - 1));
+        EXPECT_FALSE(snap->QueryReach(0, bad, kInfDistance - 1));
+      }
+      for (VertexId s = 0; s < n; s += 7) {
+        for (VertexId t = 0; t < n; t += 5) {
+          ASSERT_EQ(snap->Query(s, t), index.Query(s, t))
+              << "s=" << s << " t=" << t;
+        }
+      }
+    }
   }
 }
 

@@ -928,7 +928,7 @@ TEST_F(ServerEndToEndTest, PathMatchesOracleWhenGraphAttached) {
   auto with_graph =
       DistanceServer::Start(
           std::make_shared<ServingSnapshot>(
-              HopDbIndex::Build(graph_).ValueOrDie(), "", 128, 0,
+              HopDbIndex::Build(graph_).ValueOrDie(), "", 128,
               std::make_shared<const CsrGraph>(graph_)),
           options)
           .ValueOrDie();
